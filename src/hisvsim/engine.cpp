@@ -59,10 +59,10 @@ using detail::PlanImpl;
 namespace {
 
 /// Working-set limit actually used: explicit limit capped at the circuit
-/// width, else the LLC-sized default (2^21 amplitudes = 32 MiB).
+/// width, else the inner-vector budget (2^21 amplitudes = 32 MiB).
 unsigned effective_limit(const Options& opt, unsigned num_qubits) {
   if (opt.limit != 0) return std::min(opt.limit, num_qubits);
-  return std::min(21u, num_qubits);
+  return std::min(sv::kInnerBudgetQubits, num_qubits);
 }
 
 dist::CommBackend* backend_for_target(Target t) {
@@ -125,6 +125,31 @@ void json_params(std::ostringstream& os, bool& first,
   os << '}';
 }
 
+/// The k heaviest outcomes of a histogram, weight-descending.
+std::vector<std::pair<double, Index>> heaviest(
+    const std::map<Index, double>& counts, std::size_t k) {
+  std::vector<std::pair<double, Index>> top;
+  top.reserve(counts.size());
+  for (const auto& [outcome, w] : counts) top.emplace_back(w, outcome);
+  std::sort(top.rbegin(), top.rend());
+  if (top.size() > k) top.resize(k);
+  return top;
+}
+
+/// Emits the top outcomes (full histograms scale as 2^n) as a
+/// "top_counts" object keyed by outcome index.
+void json_top_counts(std::ostringstream& os, bool& first,
+                     const std::vector<std::pair<double, Index>>& top) {
+  append_kv(os, first, "top_counts");
+  os << '{';
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.12g", top[i].first);
+    os << (i ? ", " : "") << '"' << top[i].second << "\": " << buf;
+  }
+  os << '}';
+}
+
 /// Fans fn(i) over the worker pool, one index per chunk. Any throw
 /// (allocation failure, internal check) is captured and rethrown on the
 /// calling thread — an exception must never escape into the pool's
@@ -164,6 +189,13 @@ double Result::total_seconds_overlapped() const {
 double Result::comm_ratio() const {
   const double total = total_seconds();
   return total > 0.0 ? comm.modeled_max_seconds / total : 0.0;
+}
+
+std::vector<std::pair<double, Index>> Result::top_counts(
+    std::size_t k) const {
+  std::map<Index, double> counts;
+  for (Index s : samples) counts[s] += 1.0;
+  return heaviest(counts, k);
 }
 
 std::string Result::to_json() const {
@@ -229,6 +261,7 @@ std::string Result::to_json() const {
   }
   json_params(os, first, params);
   json_int(os, first, "shots", samples.size());
+  if (!samples.empty()) json_top_counts(os, first, top_counts(16));
   if (!observables.empty()) {
     append_kv(os, first, "observables");
     os << '[';
@@ -814,12 +847,7 @@ NoisyResult ExecutionPlan::execute_trajectories(
 
 std::vector<std::pair<double, Index>> NoisyResult::top_counts(
     std::size_t k) const {
-  std::vector<std::pair<double, Index>> top;
-  top.reserve(counts.size());
-  for (const auto& [outcome, w] : counts) top.emplace_back(w, outcome);
-  std::sort(top.rbegin(), top.rend());
-  if (top.size() > k) top.resize(k);
-  return top;
+  return heaviest(counts, k);
 }
 
 std::string NoisyResult::to_json() const {
@@ -859,18 +887,7 @@ std::string NoisyResult::to_json() const {
     array("observable_stderrs", observable_stderrs);
   }
   json_int(os, first, "distinct_outcomes", counts.size());
-  if (!counts.empty()) {
-    // Top outcomes by pooled weight (full histograms scale as 2^n).
-    const std::vector<std::pair<double, Index>> top = top_counts(16);
-    append_kv(os, first, "top_counts");
-    os << '{';
-    for (std::size_t i = 0; i < top.size(); ++i) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.12g", top[i].first);
-      os << (i ? ", " : "") << '"' << top[i].second << "\": " << buf;
-    }
-    os << '}';
-  }
+  if (!counts.empty()) json_top_counts(os, first, top_counts(16));
   os << "\n}";
   return os.str();
 }

@@ -75,8 +75,8 @@ struct Options {
   Target target = Target::Hierarchical;
   partition::Strategy strategy = partition::Strategy::DagP;
   /// Working-set limit Lm. 0 = auto: local qubit count when distributed,
-  /// otherwise the LLC-sized qubit count (21 qubits ~ 32 MiB) capped at
-  /// the circuit width.
+  /// otherwise sv::kInnerBudgetQubits (21 qubits ~ 32 MiB) capped at the
+  /// circuit width.
   unsigned limit = 0;
   /// Second-level (cache) limit for Multilevel and the distributed
   /// targets' inner level. 0 = auto for Target::Multilevel (half the
@@ -215,9 +215,13 @@ struct Result {
   double total_seconds_overlapped() const;
   /// Fraction of total_seconds() spent communicating, in [0, 1].
   double comm_ratio() const;
+  /// The k most frequent shot outcomes, count-descending — the one
+  /// definition shared by to_json() and the CLI's text report.
+  std::vector<std::pair<double, Index>> top_counts(std::size_t k) const;
 
-  /// Serializes every report field above (not the state or raw samples)
-  /// as a JSON object. The one place report fields are defined.
+  /// Serializes every report field above (not the state or raw samples;
+  /// the 16 most frequent samples as "top_counts") as a JSON object. The
+  /// one place report fields are defined.
   std::string to_json() const;
 };
 

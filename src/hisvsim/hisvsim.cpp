@@ -13,8 +13,7 @@ unsigned HiSvSim::effective_limit(const Circuit& c) const {
     HISIM_CHECK(opt_.process_qubits < c.num_qubits());
     return c.num_qubits() - opt_.process_qubits;
   }
-  // LLC-sized default: 2^21 amplitudes = 32 MiB.
-  return std::min(21u, c.num_qubits());
+  return std::min(sv::kInnerBudgetQubits, c.num_qubits());
 }
 
 Options HiSvSim::engine_options(const Circuit& c, bool distributed) const {

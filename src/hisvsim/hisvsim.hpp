@@ -16,8 +16,8 @@ namespace hisim {
 struct RunOptions {
   partition::Strategy strategy = partition::Strategy::DagP;
   /// Working-set limit Lm. 0 = auto: local qubit count when distributed,
-  /// otherwise the LLC-sized qubit count (21 qubits ~ 32 MiB) capped at
-  /// the circuit width.
+  /// otherwise sv::kInnerBudgetQubits (21 qubits ~ 32 MiB) capped at the
+  /// circuit width.
   unsigned limit = 0;
   /// Number of process ("rank") qubits; 2^p simulated ranks. 0 = single
   /// node.

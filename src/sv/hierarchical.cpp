@@ -4,6 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "sv/kernels.hpp"
@@ -25,7 +26,70 @@ std::vector<Gate> remap_gates(const Circuit& c,
   return out;
 }
 
+/// The cosets of a part's qubits in an n-qubit outer vector. Coset m holds
+/// the amplitudes deposit(m, outside) | offset[t] for t < 2^w: the part's
+/// qubits take every value while the others hold the bits of m. Cosets are
+/// disjoint, so workers may move different ones concurrently. This is the
+/// one place amplitudes move between an outer and an inner vector.
+class Cosets {
+ public:
+  Cosets(std::span<const Qubit> part_qubits, unsigned n)
+      : count_(Index{1} << (n - part_qubits.size())) {
+    Index mask = 0;
+    for (Qubit q : part_qubits) mask |= Index{1} << q;
+    outside_ = ~mask & ((Index{1} << n) - 1);
+    offset_.resize(Index{1} << part_qubits.size());
+    for (Index t = 0; t < offset_.size(); ++t)
+      offset_[t] = bits::deposit(t, mask);
+    // One block per thread on the split-copy path; blocks below the pool's
+    // default grain are not worth a task.
+    const Index threads = parallel::num_threads();
+    grain_ = std::max((offset_.size() + threads - 1) / threads,
+                      Index{1} << 12);
+  }
+
+  Index count() const { return count_; }
+
+  /// Copies coset m into `inner` (2^w amplitudes). Split over the pool;
+  /// inline inside a fan-out worker (nested-region rule).
+  void gather(const cplx* outer, Index m, cplx* inner) const {
+    const Index base = bits::deposit(m, outside_);
+    parallel::for_range(
+        0, offset_.size(),
+        [&](Index lo, Index hi) {
+          for (Index t = lo; t < hi; ++t) inner[t] = outer[base | offset_[t]];
+        },
+        grain_);
+  }
+
+  /// Copies `inner` back into coset m; the inverse of gather().
+  void scatter(cplx* outer, Index m, const cplx* inner) const {
+    const Index base = bits::deposit(m, outside_);
+    parallel::for_range(
+        0, offset_.size(),
+        [&](Index lo, Index hi) {
+          for (Index t = lo; t < hi; ++t) outer[base | offset_[t]] = inner[t];
+        },
+        grain_);
+  }
+
+ private:
+  Index count_;
+  Index outside_ = 0;
+  std::vector<Index> offset_;
+  Index grain_ = 1;
+};
+
+struct PhaseSeconds {
+  double gather = 0.0, apply = 0.0, scatter = 0.0;
+};
+
 }  // namespace
+
+bool fans_out(unsigned part_width, Index cosets, unsigned threads) {
+  return cosets >= threads &&
+         (Index{threads} << part_width) <= (Index{1} << kInnerBudgetQubits);
+}
 
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
               std::span<const Qubit> part_qubits, StateVector& outer,
@@ -42,44 +106,70 @@ void run_part(const Circuit& c, std::span<const std::size_t> gates,
 
   // Slot map: part qubit j lives at inner bit j.
   std::vector<Qubit> slot_of(n, 0);
-  Index mask = 0;
-  for (unsigned j = 0; j < w; ++j) {
-    slot_of[part_qubits[j]] = j;
-    mask |= Index{1} << part_qubits[j];
-  }
+  for (unsigned j = 0; j < w; ++j) slot_of[part_qubits[j]] = j;
   const std::vector<Gate> inner_gates = remap_gates(c, gates, slot_of);
+  const Cosets cosets(part_qubits, n);
+  const Index iterations = cosets.count();
 
-  const Index kdim = Index{1} << w;
-  const Index inv = ~mask & (outer.size() - 1);
-  std::vector<Index> offset(kdim);
-  for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
+  // Gather-execute-scatter of cosets [lo, hi) through `inner`.
+  const auto run_cosets = [&](Index lo, Index hi, StateVector& inner) {
+    Stopwatch gather_sw, apply_sw, scatter_sw;
+    for (Index m = lo; m < hi; ++m) {
+      gather_sw.start();
+      cosets.gather(outer.data(), m, inner.data());
+      gather_sw.stop();
+      apply_sw.start();
+      for (const Gate& g : inner_gates) apply_gate(inner, g, kops);
+      apply_sw.stop();
+      scatter_sw.start();
+      cosets.scatter(outer.data(), m, inner.data());
+      scatter_sw.stop();
+    }
+    return PhaseSeconds{gather_sw.seconds(), apply_sw.seconds(),
+                        scatter_sw.seconds()};
+  };
 
-  StateVector inner(w);
-  const Index iterations = outer.size() >> w;
-  cplx* out_a = outer.data();
-  cplx* in_a = inner.data();
-
-  Stopwatch gather_sw, exec_sw, scatter_sw;
-  for (Index m = 0; m < iterations; ++m) {
-    const Index base = bits::deposit(m, inv);
-    gather_sw.start();
-    for (Index t = 0; t < kdim; ++t) in_a[t] = out_a[base | offset[t]];
-    gather_sw.stop();
-    exec_sw.start();
-    for (const Gate& g : inner_gates) apply_gate(inner, g, kops);
-    exec_sw.stop();
-    scatter_sw.start();
-    for (Index t = 0; t < kdim; ++t) out_a[base | offset[t]] = in_a[t];
-    scatter_sw.stop();
+  // Inside a pool region (a sweep point, a distributed rank) this call
+  // runs inline: one thread.
+  const unsigned threads =
+      parallel::inline_only() ? 1 : parallel::num_threads();
+  const unsigned workers = fans_out(w, iterations, threads) ? threads : 1;
+  // Allocated here rather than in the workers, so freed inner vectors go
+  // back to this thread's heap for the next part instead of lingering in
+  // per-thread malloc arenas.
+  std::vector<StateVector> inners;
+  for (unsigned b = 0; b < workers; ++b) inners.emplace_back(w);
+  std::vector<PhaseSeconds> phases(workers);
+  Timer wall;
+  // One contiguous block of cosets per worker. Fan-out: the blocks run on
+  // the pool and the copies and kernels inside them inline. Split copy:
+  // one block on this thread, whose copies and kernels use the pool.
+  parallel::for_range(
+      0, workers,
+      [&](Index lo, Index hi) {
+        for (Index b = lo; b < hi; ++b)
+          phases[b] = run_cosets(iterations * b / workers,
+                                 iterations * (b + 1) / workers, inners[b]);
+      },
+      /*grain=*/1);
+  // The workers' stopwatches overlap in time: scale their sums so that the
+  // three phases add up to the part's wall time.
+  PhaseSeconds sum;
+  for (const PhaseSeconds& p : phases) {
+    sum.gather += p.gather;
+    sum.apply += p.apply;
+    sum.scatter += p.scatter;
   }
+  const double busy = sum.gather + sum.apply + sum.scatter;
+  const double scale = busy > 0.0 ? wall.seconds() / busy : 0.0;
 
   stats.parts += 1;
-  stats.gather_seconds += gather_sw.seconds();
-  stats.execute_seconds += exec_sw.seconds();
-  stats.scatter_seconds += scatter_sw.seconds();
+  stats.gather_seconds += sum.gather * scale;
+  stats.execute_seconds += sum.apply * scale;
+  stats.scatter_seconds += sum.scatter * scale;
   stats.outer_bytes_moved += 2 * outer.bytes();  // gather read + scatter write
   stats.inner_bytes_touched +=
-      static_cast<Index>(gates.size()) * 2 * inner.bytes() * iterations;
+      static_cast<Index>(gates.size()) * 2 * inners[0].bytes() * iterations;
   for (std::size_t gi : gates)
     stats.flops +=
         gate_flops(c.gate(gi), w) * static_cast<double>(iterations);
@@ -110,11 +200,7 @@ HierarchicalStats HierarchicalSimulator::run(
 
     // Remap the part's gates onto level-1 inner slots once.
     std::vector<Qubit> slot1(n, 0);
-    Index mask = 0;
-    for (unsigned j = 0; j < w1; ++j) {
-      slot1[p1.qubits[j]] = j;
-      mask |= Index{1} << p1.qubits[j];
-    }
+    for (unsigned j = 0; j < w1; ++j) slot1[p1.qubits[j]] = j;
     Circuit inner_circuit(w1);
     for (const std::string& p : c.param_names()) inner_circuit.param(p);
     for (std::size_t gi : p1.gates) {
@@ -146,23 +232,16 @@ HierarchicalStats HierarchicalSimulator::run(
       inner_parts.push_back(std::move(ip));
     }
 
-    // Gather-execute-scatter of the level-1 part, with the execute step
-    // itself hierarchical over the level-2 parts.
-    const Index kdim = Index{1} << w1;
-    const Index inv = ~mask & (state.size() - 1);
-    std::vector<Index> offset(kdim);
-    for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
-
+    // Gather-execute-scatter of the level-1 part, one coset at a time with
+    // split copies; the execute step is itself hierarchical over the
+    // level-2 parts, whose run_part calls pick their own path.
+    const Cosets cosets(p1.qubits, n);
     StateVector inner(w1);
-    const Index iterations = state.size() >> w1;
-    cplx* out_a = state.data();
-    cplx* in_a = inner.data();
     Stopwatch gather_sw, exec_sw, scatter_sw;
     HierarchicalStats inner_stats;
-    for (Index m = 0; m < iterations; ++m) {
-      const Index base = bits::deposit(m, inv);
+    for (Index m = 0; m < cosets.count(); ++m) {
       gather_sw.start();
-      for (Index t = 0; t < kdim; ++t) in_a[t] = out_a[base | offset[t]];
+      cosets.gather(state.data(), m, inner.data());
       gather_sw.stop();
       exec_sw.start();
       for (const InnerPart& ip : inner_parts)
@@ -170,7 +249,7 @@ HierarchicalStats HierarchicalSimulator::run(
                  ops);
       exec_sw.stop();
       scatter_sw.start();
-      for (Index t = 0; t < kdim; ++t) out_a[base | offset[t]] = in_a[t];
+      cosets.scatter(state.data(), m, inner.data());
       scatter_sw.stop();
     }
 

@@ -7,10 +7,29 @@
 
 namespace hisim::sv {
 
+/// Inner-vector budget in qubits: 2^21 amplitudes (32 MiB), an LLC-sized
+/// working set. The engine's auto limit is this width, and run_part keeps
+/// its per-thread inner vectors within it.
+inline constexpr unsigned kInnerBudgetQubits = 21;
+
+/// run_part's choice of path for a part of `part_width` qubits with
+/// `cosets` = 2^(n − part_width) cosets on `threads` threads (1 inside a
+/// pool region). True (fan out): there are at least `threads` cosets and
+/// `threads` inner vectors of 2^part_width amplitudes fit the budget, so
+/// each thread gathers, applies and scatters its own contiguous block of
+/// cosets. False (split copy): one inner vector, with each gather and
+/// scatter split over the pool. Either way the inner vectors take at most
+/// the larger of the budget and one 2^part_width vector.
+bool fans_out(unsigned part_width, Index cosets, unsigned threads);
+
 /// Per-run accounting of the Gather-Execute-Scatter model. Byte counts
 /// follow the paper's memory-traffic reasoning: gather/scatter stream the
 /// full outer state vector once each per part, while gate execution stays
 /// inside the (cache-sized) inner vectors.
+///
+/// The three phase times are wall-clock: per part, the sums of the
+/// workers' stopwatches are scaled to the part's wall time, so
+/// total_seconds() never exceeds the run's wall time.
 struct HierarchicalStats {
   std::size_t parts = 0;
   std::size_t inner_parts = 0;      // second-level parts (two-level runs)
@@ -57,9 +76,12 @@ class HierarchicalSimulator {
 };
 
 /// Executes one part against `outer`: the gather-execute-scatter cycle of
-/// Algorithm 1. `gates` are indices into `c`; `part_qubits` must be the
-/// sorted working set of those gates. Exposed for reuse by the two-level
-/// runner and the distributed executor.
+/// Algorithm 1, over the part's cosets on the path fans_out() picks.
+/// Bit-identical on every path and thread count: each amplitude sees the
+/// same gate sequence and the copies are exact. `gates` are indices into
+/// `c`; `part_qubits` must be the sorted working set of those gates.
+/// Exposed for reuse by the two-level runner and the distributed executor;
+/// called from inside a pool region, it runs inline with one inner vector.
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
               std::span<const Qubit> part_qubits, StateVector& outer,
               HierarchicalStats& stats, const KernelOps* ops = nullptr);

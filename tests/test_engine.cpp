@@ -240,7 +240,8 @@ TEST(Engine, ResultJsonCarriesReportFields) {
     o.process_qubits = 2;
     ExecOptions x;
     x.shots = 8;
-    const std::string j = Engine::compile(c, o).execute(x).to_json();
+    const Result r = Engine::compile(c, o).execute(x);
+    const std::string j = r.to_json();
     for (const char* key :
          {"\"circuit\": \"bv\"", "\"target\": \"distributed-threaded\"",
           "\"parts\":", "\"ranks\": 4", "\"compile_seconds\":",
@@ -248,6 +249,15 @@ TEST(Engine, ResultJsonCarriesReportFields) {
           "\"comm_bytes\":", "\"comm_seconds_modeled\":",
           "\"wall_seconds_measured\":", "\"shots\": 8", "\"norm\":"})
       EXPECT_NE(j.find(key), std::string::npos) << key << "\n" << j;
+    // The histogram counts every shot; the JSON opens with the heaviest.
+    const auto top = r.top_counts(16);
+    double shots = 0.0;
+    for (const auto& [count, outcome] : top) shots += count;
+    EXPECT_EQ(shots, 8.0);
+    const std::string counts =
+        "\"top_counts\": {\"" + std::to_string(top.at(0).second) + "\": " +
+        std::to_string(static_cast<int>(top.at(0).first));
+    EXPECT_NE(j.find(counts), std::string::npos) << counts << "\n" << j;
   }
   {
     const std::string j = Engine::compile(c, Options{}).execute().to_json();
@@ -256,6 +266,7 @@ TEST(Engine, ResultJsonCarriesReportFields) {
                             "\"scatter_seconds\":", "\"outer_bytes_moved\":"})
       EXPECT_NE(j.find(key), std::string::npos) << key << "\n" << j;
     EXPECT_EQ(j.find("\"comm_bytes\""), std::string::npos) << j;
+    EXPECT_EQ(j.find("\"top_counts\""), std::string::npos) << j;  // no shots
   }
 }
 

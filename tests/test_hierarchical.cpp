@@ -2,12 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "circuits/generators.hpp"
+#include "common/parallel.hpp"
+#include "common/trace.hpp"
+#include "hisvsim/engine.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
+#include "testing/random_circuits.hpp"
 
 namespace hisim::sv {
 namespace {
+
+void expect_bit_identical(const StateVector& a, const StateVector& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.bytes()), 0);
+}
+
+std::uint64_t pool_tasks() {
+  return trace::MetricsRegistry::global().counter("pool.tasks").value();
+}
 
 struct Case {
   std::string name;
@@ -106,6 +121,109 @@ TEST(Hierarchical, FlopsAccounted) {
   StateVector s(8);
   const auto stats = HierarchicalSimulator().run(c, p, s);
   EXPECT_GT(stats.flops, 0.0);
+}
+
+TEST(Hierarchical, FanOutRule) {
+  EXPECT_TRUE(fans_out(4, 256, 4));
+  EXPECT_FALSE(fans_out(8, 2, 4));   // fewer cosets than threads
+  EXPECT_FALSE(fans_out(21, 8, 4));  // 4 inner vectors exceed the budget
+  EXPECT_TRUE(fans_out(19, 8, 4));   // 4 x 2^19 is exactly the budget
+  EXPECT_TRUE(fans_out(21, 8, 1));   // one thread: the serial loop
+}
+
+// Fan-out path: every part of a 12-qubit circuit at limit 4 has 2^8 cosets,
+// so each of 4 workers runs a block of them through its own inner vector.
+TEST(Hierarchical, FanOutBitIdenticalAcrossThreadCounts) {
+  constexpr unsigned n = 12;
+  const Circuit c = testutil::random_circuit(n, 240, 11);
+  const dag::CircuitDag d(c);
+  partition::PartitionOptions opt;
+  opt.limit = 4;
+  const partition::Partitioning parts = partition::make_partition(d, opt);
+  for (const partition::Part& p : parts.parts)
+    ASSERT_TRUE(fans_out(p.working_set(), Index{1} << (n - p.working_set()),
+                         4));
+  const StateVector init = testutil::random_state(n, 3);
+  StateVector flat = init;
+  FlatSimulator().run(c, flat);
+
+  StateVector one = init, four = init, nested = init;
+  parallel::set_num_threads(1);
+  HierarchicalSimulator().run(c, parts, one);
+  parallel::set_num_threads(4);
+  std::uint64_t before = pool_tasks();
+  HierarchicalSimulator().run(c, parts, four);
+  const std::uint64_t tasks = pool_tasks() - before;
+  before = pool_tasks();
+  {
+    // As inside a sweep point: one thread, no pool tasks.
+    parallel::inline_scope inline_only;
+    HierarchicalSimulator().run(c, parts, nested);
+  }
+  const std::uint64_t nested_tasks = pool_tasks() - before;
+  parallel::set_num_threads(0);
+
+  expect_bit_identical(one, four);
+  expect_bit_identical(one, nested);
+  EXPECT_LT(four.max_abs_diff(flat), 1e-10);
+  // One pool task per worker per part; copies and kernels ran inline.
+  EXPECT_EQ(tasks, 4 * parts.num_parts());
+  EXPECT_EQ(nested_tasks, 0u);
+}
+
+// Split-copy path: one part covering all but one qubit has 2 cosets, fewer
+// than the 4 threads, so one inner vector is used and each gather and
+// scatter is split over the pool (at n = 15 into several chunks).
+TEST(Hierarchical, SplitCopyBitIdenticalAcrossThreadCounts) {
+  for (const unsigned n : {9u, 15u}) {
+    // A random circuit on every qubit except `hole`, which stays outside
+    // the part and picks the coset.
+    const Qubit hole = n / 2;
+    std::vector<Qubit> part_qubits;
+    for (Qubit q = 0; q < n; ++q)
+      if (q != hole) part_qubits.push_back(q);
+    const Circuit small = testutil::random_circuit(n - 1, 120, n);
+    Circuit c(n);
+    std::vector<std::size_t> gates;
+    for (Gate g : small.gates()) {
+      for (Qubit& q : g.qubits) q = part_qubits[q];
+      gates.push_back(c.num_gates());
+      c.add(std::move(g));
+    }
+    ASSERT_FALSE(fans_out(n - 1, 2, 4));
+    const StateVector init = testutil::random_state(n, 5);
+    StateVector flat = init;
+    FlatSimulator().run(c, flat);
+
+    StateVector one = init, four = init;
+    HierarchicalStats stats;
+    parallel::set_num_threads(1);
+    run_part(c, gates, part_qubits, one, stats);
+    parallel::set_num_threads(4);
+    run_part(c, gates, part_qubits, four, stats);
+    parallel::set_num_threads(0);
+
+    expect_bit_identical(one, four);
+    EXPECT_LT(four.max_abs_diff(flat), 1e-10) << "n=" << n;
+  }
+}
+
+// The engine's gather/apply/scatter split is wall-clock: fanned-out
+// workers overlap, so summing their stopwatches would exceed the wall.
+TEST(Hierarchical, EnginePhaseSecondsFitInExecuteWall) {
+  Options o;
+  o.target = Target::Hierarchical;
+  o.limit = 8;
+  parallel::set_num_threads(4);
+  const Result r = Engine::compile(circuits::qft(16), o).execute();
+  parallel::set_num_threads(0);
+  const double gather = r.metrics.at("gather.seconds");
+  const double apply = r.metrics.at("apply.seconds");
+  const double scatter = r.metrics.at("scatter.seconds");
+  EXPECT_GT(gather, 0.0);
+  EXPECT_GT(apply, 0.0);
+  EXPECT_GT(scatter, 0.0);
+  EXPECT_LE(gather + apply + scatter, r.metrics.at("execute.wall_seconds"));
 }
 
 }  // namespace

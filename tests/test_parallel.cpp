@@ -90,8 +90,10 @@ TEST(Parallel, NestedForRangeRunsInlineAndCoversOnce) {
 TEST(Parallel, InlineScopeForcesSingleChunk) {
   set_num_threads(4);
   std::atomic<int> calls{0};
+  EXPECT_FALSE(inline_only());
   {
     inline_scope guard;
+    EXPECT_TRUE(inline_only());
     // Large range, tiny grain: without the scope this would be chunked
     // across the pool; under it, fn sees the whole range in one call.
     for_range(0, 1 << 16, [&](Index lo, Index hi) {
@@ -101,6 +103,14 @@ TEST(Parallel, InlineScopeForcesSingleChunk) {
     }, /*grain=*/1);
   }
   EXPECT_EQ(calls.load(), 1);
+  EXPECT_FALSE(inline_only());
+  // Every thread running a region's chunks, caller included, is inline.
+  std::atomic<int> inline_chunks{0};
+  for_range(0, 8, [&](Index, Index) {
+    if (inline_only()) inline_chunks.fetch_add(1);
+  }, /*grain=*/1);
+  EXPECT_EQ(inline_chunks.load(), 8);
+  EXPECT_FALSE(inline_only());
   set_num_threads(0);
 }
 

@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -177,9 +176,11 @@ int run_traced(const std::string& spec, const cli::Flags& f) {
 
   const Result r = plan.execute(x);
 
-  if (f.json) {
+  if (f.json) {  // the JSON already holds observables and top_counts
     std::printf("%s\n", r.to_json().c_str());
-  } else if (r.ranks > 0) {
+    return 0;
+  }
+  if (r.ranks > 0) {
     std::printf(
         "target=%s parts=%zu total=%.4fs norm=%.12f "
         "comm=%.4fs wall=%.4fs overlap=%.4fs\n",
@@ -197,17 +198,13 @@ int run_traced(const std::string& spec, const cli::Flags& f) {
                 x.observables[i].to_string().c_str(), r.observables[i]);
 
   if (!r.samples.empty()) {
-    std::map<Index, std::size_t> hist;
-    for (Index s : r.samples) ++hist[s];
-    std::vector<std::pair<std::size_t, Index>> top;
-    for (const auto& [v, n] : hist) top.emplace_back(n, v);
-    std::sort(top.rbegin(), top.rend());
+    const std::vector<std::pair<double, Index>> top = r.top_counts(8);
     std::printf("top outcomes (%zu shots):\n", r.samples.size());
-    for (std::size_t i = 0; i < std::min<std::size_t>(8, top.size()); ++i) {
+    for (std::size_t i = 0; i < top.size(); ++i) {
       std::printf("  ");
       for (unsigned q = c.num_qubits(); q-- > 0;)
         std::printf("%c", (top[i].second >> q) & 1 ? '1' : '0');
-      std::printf("  %zu\n", top[i].first);
+      std::printf("  %.0f\n", top[i].first);
     }
   }
   return 0;
