@@ -97,6 +97,9 @@ void set_num_threads(unsigned n);
 /// Current configured worker count (after defaulting).
 unsigned num_threads();
 
+/// for_range's default chunk: 4096 indices.
+inline constexpr Index kDefaultGrain = Index{1} << 12;
+
 /// Invoke fn(begin, end) over a partition of [begin, end) across workers.
 /// Ranges below `grain` run inline on the calling thread.
 ///
@@ -108,7 +111,7 @@ unsigned num_threads();
 /// are serialized against each other.
 void for_range(Index begin, Index end,
                const std::function<void(Index, Index)>& fn,
-               Index grain = Index{1} << 12);
+               Index grain = kDefaultGrain);
 
 /// True when every for_range this thread issues runs inline: inside a
 /// for_range region or under an inline_scope. Callers that size per-worker

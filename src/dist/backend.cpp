@@ -1,43 +1,55 @@
 #include "dist/backend.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
+#include "dist/layout.hpp"
 
 namespace hisim::dist {
 namespace {
 
-/// Fills destination shard r2 by pulling through the inverse permutation.
-/// `use_pool` parallelizes the offset loop over parallel::for_range (only
-/// meaningful on the caller's thread; backend workers hold an inline_scope
-/// so the flag is moot there).
+/// Fills destination shard r2 by pulling through the inverse permutation,
+/// in runs of 2^b offsets that the permutation leaves in place (b =
+/// run_bits of the local slots): each run is one contiguous source range,
+/// so it costs one index computation and one std::copy. `use_pool`
+/// parallelizes the run loop over parallel::for_range (only meaningful on
+/// the caller's thread; backend workers hold an inline_scope so the flag
+/// is moot there).
 void fill_shard(const ExchangePlan& plan, unsigned r2, bool use_pool) {
   const unsigned l = plan.local_qubits;
   const unsigned n = static_cast<unsigned>(plan.inv.size());
   const Index ldim = Index{1} << l;
+  const unsigned b = run_bits(std::span(plan.inv).first(l));
+  const Index run = Index{1} << b;
   // Contribution of the destination rank bits to the source index is
-  // constant across the shard; only the offset bits vary below.
+  // constant across the shard; only the offset bits above the run vary.
   Index base = 0;
   for (unsigned s = l; s < n; ++s)
     if ((r2 >> (s - l)) & 1u) base |= Index{1} << plan.inv[s];
 
   const std::vector<sv::StateVector>& src = *plan.src;
-  sv::StateVector& out = (*plan.dst)[r2];
-  auto move_range = [&](Index lo, Index hi) {
-    for (Index j = lo; j < hi; ++j) {
+  cplx* out = (*plan.dst)[r2].data();
+  auto move_runs = [&](Index lo, Index hi) {
+    for (Index j = lo; j < hi; j += run) {
       Index c = base;
-      for (unsigned s = 0; s < l; ++s)
+      for (unsigned s = b; s < l; ++s)
         if ((j >> s) & 1u) c |= Index{1} << plan.inv[s];
-      out[j] = src[static_cast<unsigned>(c >> l)][c & (ldim - 1)];
+      const cplx* from =
+          src[static_cast<unsigned>(c >> l)].data() + (c & (ldim - 1));
+      std::copy(from, from + run, out + j);
     }
   };
+  // Chunks of whole runs: a grain that is a multiple of the run keeps
+  // every chunk boundary on a run boundary.
   if (use_pool)
-    parallel::for_range(0, ldim, move_range);
+    parallel::for_range(0, ldim, move_runs,
+                        std::max(run, parallel::kDefaultGrain));
   else
-    move_range(0, ldim);
+    move_runs(0, ldim);
 }
 
 /// Handle for exchanges that completed before start_exchange returned.

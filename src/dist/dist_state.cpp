@@ -36,6 +36,27 @@ RankLayout checked_identity(unsigned num_qubits, unsigned process_qubits) {
   return RankLayout::identity(num_qubits, process_qubits);
 }
 
+/// Calls copy_run(r, i, g, len) once per run of `layout`: the `len` =
+/// 2^run_bits() amplitudes at offsets [i, i + len) of shard r hold global
+/// indices [g, g + len). Flattened over (rank, offset) and fanned over the
+/// pool in chunks of whole runs; the layout is a bijection, so runs never
+/// collide on either side of a copy.
+template <class CopyRun>
+void for_each_run(const RankLayout& layout, const CopyRun& copy_run) {
+  const unsigned l = layout.local_qubits();
+  const Index run = Index{1} << layout.run_bits();
+  parallel::for_range(
+      0, Index{layout.num_ranks()} << l,
+      [&](Index lo, Index hi) {
+        for (Index c = lo; c < hi; c += run) {
+          const unsigned r = static_cast<unsigned>(c >> l);
+          const Index i = c & (layout.local_dim() - 1);
+          copy_run(r, i, layout.global_index(r, i), run);
+        }
+      },
+      std::max(run, parallel::kDefaultGrain));
+}
+
 }  // namespace
 
 DistState::DistState(unsigned num_qubits, unsigned process_qubits,
@@ -54,19 +75,21 @@ DistState::DistState(unsigned num_qubits, unsigned process_qubits,
 }
 
 sv::StateVector DistState::to_state_vector() const {
-  const Index ldim = layout_.local_dim();
   sv::StateVector full(num_qubits());
-  full[0] = 0.0;
-  // Flattened (rank, offset) gather: the layout is a bijection, so every
-  // global index is written exactly once and chunks never collide.
-  parallel::for_range(0, Index{num_ranks()} * ldim, [&](Index lo, Index hi) {
-    for (Index ci = lo; ci < hi; ++ci) {
-      const unsigned r = static_cast<unsigned>(ci >> layout_.local_qubits());
-      const Index i = ci & (ldim - 1);
-      full[layout_.global_index(r, i)] = ranks_[r][i];
-    }
+  for_each_run(layout_, [&](unsigned r, Index i, Index g, Index len) {
+    std::copy_n(ranks_[r].data() + i, len, full.data() + g);
   });
   return full;
+}
+
+void DistState::load_state_vector(const sv::StateVector& full) {
+  HISIM_CHECK_MSG(full.num_qubits() == num_qubits(),
+                  "initial state has " << full.num_qubits()
+                                       << " qubits, plan expects "
+                                       << num_qubits());
+  for_each_run(layout_, [&](unsigned r, Index i, Index g, Index len) {
+    std::copy_n(full.data() + g, len, ranks_[r].data() + i);
+  });
 }
 
 void DistState::redistribute(const RankLayout& target, const NetworkModel& net,

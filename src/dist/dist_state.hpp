@@ -80,10 +80,17 @@ class DistState {
   sv::StateVector& local(unsigned rank) { return ranks_[rank]; }
   const sv::StateVector& local(unsigned rank) const { return ranks_[rank]; }
 
-  /// Gathers all shards into one full state vector (test/verification
-  /// path; a real deployment would keep the state sharded). Parallelized
-  /// over parallel::for_range.
+  /// Gathers all shards into one full state vector under the current
+  /// layout. Besides tests, this is the engine's result path: every
+  /// distributed execute that returns a state, draws shots or evaluates
+  /// observables gathers through it. Copies runs of 2^run_bits()
+  /// amplitudes, one global index per run, over parallel::for_range.
   sv::StateVector to_state_vector() const;
+
+  /// Inverse of to_state_vector(): scatters `full` into the shards under
+  /// the current layout, by the same runs. Throws hisim::Error unless
+  /// `full` has num_qubits() qubits.
+  void load_state_vector(const sv::StateVector& full);
 
   /// Moves every amplitude to the shard/offset `target` assigns it and
   /// adopts `target` as the current layout. A no-op when the layout is

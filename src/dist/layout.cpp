@@ -7,6 +7,12 @@
 
 namespace hisim::dist {
 
+unsigned run_bits(std::span<const unsigned> perm) {
+  unsigned b = 0;
+  while (b < perm.size() && b < kMaxRunBits && perm[b] == b) ++b;
+  return b;
+}
+
 RankLayout::RankLayout(unsigned num_qubits, unsigned process_qubits,
                        std::vector<Qubit> slot_of)
     : n_(num_qubits), p_(process_qubits), slot_of_(std::move(slot_of)) {
@@ -65,6 +71,10 @@ RankLayout RankLayout::for_part(unsigned num_qubits, unsigned process_qubits,
     qubit_at[from] = out;
   }
   return RankLayout(num_qubits, process_qubits, std::move(slot_of));
+}
+
+unsigned RankLayout::run_bits() const {
+  return dist::run_bits(std::span(qubit_at_).first(local_qubits()));
 }
 
 Index RankLayout::global_index(unsigned rank, Index local) const {

@@ -1,11 +1,25 @@
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace hisim::dist {
+
+/// Cap on a run's width: runs hold at most 2^14 amplitudes (256 KiB), so
+/// a pooled copy of a 2^l-amplitude shard still splits into 2^(l-14)
+/// tasks however many low slots stay in place.
+inline constexpr unsigned kMaxRunBits = 14;
+
+/// Run width of a slot permutation: the number b of low slots it leaves in
+/// place (perm[s] == s for every s < b), capped at kMaxRunBits. An index
+/// map that moves bit s to bit perm[s] sends every aligned block of 2^b
+/// consecutive indices to 2^b consecutive indices, so the shard copies
+/// (exchange, gather, load) move whole runs and compute one index per run.
+/// b = 0 when slot 0 moves: every amplitude is its own run.
+unsigned run_bits(std::span<const unsigned> perm);
 
 /// Placement of an n-qubit state vector across 2^p ranks.
 ///
@@ -62,6 +76,9 @@ class RankLayout {
   unsigned slot_of(Qubit q) const { return slot_of_[q]; }
   /// Qubit occupying slot s (inverse of slot_of).
   Qubit qubit_at(unsigned slot) const { return qubit_at_[slot]; }
+  /// Width of the runs of consecutive local offsets whose global indices
+  /// are consecutive too: run_bits of the local slots' qubit_at map.
+  unsigned run_bits() const;
   /// True iff qubit q addresses amplitudes within a single rank.
   bool is_local(Qubit q) const { return slot_of_[q] < local_qubits(); }
 

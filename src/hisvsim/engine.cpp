@@ -490,25 +490,6 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
   return plan;
 }
 
-namespace {
-
-/// Loads a full state vector into the identity-layout shards of `st`.
-void load_initial(dist::DistState& st, const sv::StateVector& init) {
-  HISIM_CHECK_MSG(init.num_qubits() == st.num_qubits(),
-                  "initial state has " << init.num_qubits()
-                                       << " qubits, plan expects "
-                                       << st.num_qubits());
-  const unsigned l = st.layout().local_qubits();
-  const Index ldim = st.layout().local_dim();
-  for (unsigned r = 0; r < st.num_ranks(); ++r) {
-    const Index base = Index{r} << l;
-    sv::StateVector& shard = st.local(r);
-    for (Index i = 0; i < ldim; ++i) shard[i] = init[base | i];
-  }
-}
-
-}  // namespace
-
 Result ExecutionPlan::execute(const ExecOptions& opts) const {
   HISIM_CHECK_MSG(impl_, "execute() called on an empty ExecutionPlan");
   return execute_impl(opts, {});
@@ -625,7 +606,7 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
     r.execute_seconds = wall.seconds();
   } else {
     dist::DistState st(n, opt.process_qubits);
-    if (opts.initial_state) load_initial(st, *opts.initial_state);
+    if (opts.initial_state) st.load_state_vector(*opts.initial_state);
     if (opt.target == Target::IqsBaseline) {
       const dist::IqsRunReport ir =
           dist::IqsBaselineSimulator().run(c, st, opts.net, nullptr,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
+
 #include "circuits/generators.hpp"
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dist/dist_state.hpp"
 #include "sv/simulator.hpp"
 
@@ -174,6 +179,129 @@ TEST(Distributed, ReportTotalsConsistent) {
               rep.compute_seconds + rep.comm.modeled_max_seconds, 1e-12);
   EXPECT_GE(rep.comm_ratio(), 0.0);
   EXPECT_LE(rep.comm_ratio(), 1.0);
+}
+
+TEST(RunBits, CountsFixedLowSlotsUpToTheCap) {
+  EXPECT_EQ(run_bits({}), 0u);
+  EXPECT_EQ(run_bits(std::vector<unsigned>{1, 0, 2, 3}), 0u);
+  EXPECT_EQ(run_bits(std::vector<unsigned>{0, 1, 3, 2}), 2u);
+  EXPECT_EQ(run_bits(std::vector<unsigned>{0, 1, 2}), 3u);
+  std::vector<unsigned> wide(kMaxRunBits + 4);
+  std::iota(wide.begin(), wide.end(), 0u);
+  EXPECT_EQ(run_bits(wide), kMaxRunBits);
+}
+
+// Independent oracle for the run copies (exchange and gather): every
+// amplitude holds its own canonical global index, written and checked one
+// amplitude at a time through RankLayout::global_index's per-bit loop.
+void write_global_indices(DistState& st) {
+  for (unsigned r = 0; r < st.num_ranks(); ++r)
+    for (Index i = 0; i < st.layout().local_dim(); ++i)
+      st.local(r)[i] =
+          cplx(static_cast<double>(st.layout().global_index(r, i)), 0);
+}
+
+void expect_global_indices(const DistState& st, const std::string& where) {
+  Index bad = 0;
+  for (unsigned r = 0; r < st.num_ranks(); ++r)
+    for (Index i = 0; i < st.layout().local_dim(); ++i)
+      bad += st.local(r)[i] !=
+             cplx(static_cast<double>(st.layout().global_index(r, i)), 0);
+  EXPECT_EQ(bad, 0u) << where << ": shard amplitudes off their layout";
+  const sv::StateVector full = st.to_state_vector();
+  bad = 0;
+  for (Index g = 0; g < full.size(); ++g)
+    bad += full[g] != cplx(static_cast<double>(g), 0);
+  EXPECT_EQ(bad, 0u) << where << ": to_state_vector()[g] != g";
+}
+
+/// Run width of the exchange from `from` to `to`: its pull map sends slot
+/// s of the new combined index to slot from.slot_of(to.qubit_at(s)).
+unsigned exchange_run_bits(const RankLayout& from, const RankLayout& to) {
+  std::vector<unsigned> inv(to.local_qubits());
+  for (unsigned s = 0; s < inv.size(); ++s)
+    inv[s] = from.slot_of(to.qubit_at(s));
+  return run_bits(inv);
+}
+
+struct RunCase {
+  std::string name;
+  unsigned n, p, physical;
+  std::vector<Qubit> part;     // target = for_part(part) from identity...
+  std::vector<Qubit> slot_of;  // ...or this explicit layout when set
+  unsigned exchange_bits;      // run width the case is built to cover
+};
+
+class RunCopies : public ::testing::TestWithParam<RunCase> {};
+
+TEST_P(RunCopies, ShardsAndGatherMatchGlobalIndexOracle) {
+  const RunCase& tc = GetParam();
+  const RankLayout start = RankLayout::identity(tc.n, tc.p);
+  const RankLayout target =
+      tc.slot_of.empty() ? RankLayout::for_part(tc.n, tc.p, tc.part, start)
+                         : RankLayout(tc.n, tc.p, tc.slot_of);
+  ASSERT_EQ(exchange_run_bits(start, target), tc.exchange_bits);
+  NetworkModel net;
+  for (CommBackend* backend : {&serial_backend(), &threaded_backend()}) {
+    const std::string where = tc.name + "/" + backend->name();
+    DistState st(tc.n, tc.p, tc.physical);
+    write_global_indices(st);
+    expect_global_indices(st, where + " identity");
+    CommStats stats;
+    st.redistribute(target, net, stats, *backend);
+    ASSERT_EQ(st.layout(), target);
+    EXPECT_EQ(stats.exchanges, 1u);
+    expect_global_indices(st, where + " target");
+    // And back: the inverse exchange, into the identity layout's runs.
+    st.redistribute(start, net, stats, *backend);
+    expect_global_indices(st, where + " back");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, RunCopies,
+    ::testing::Values(
+        // Victim of qubit 4 is slot 0: every amplitude is its own run.
+        RunCase{"width0", 6, 2, 0, {1, 2, 3, 4}, {}, 0},
+        // Qubit 6 displaces slot 5: runs of 2^5.
+        RunCase{"middle", 8, 2, 0, {0, 1, 2, 3, 6}, {}, 5},
+        // Only the two process slots swap: whole shards are runs (b = l).
+        RunCase{"full_l", 6, 2, 0, {}, {0, 1, 2, 3, 5, 4}, 4},
+        // Same with l = 15 > kMaxRunBits: runs stop at the cap.
+        RunCase{"capped", 17, 2, 0, {},
+                {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 15},
+                kMaxRunBits},
+        // 8 virtual ranks on 3 hosts (blocks of 3, 3, 2).
+        RunCase{"virtual", 7, 3, 3, {0, 1, 5, 6}, {}, 2}),
+    [](const auto& ti) { return ti.param.name; });
+
+TEST(DistState, LoadStateVectorInvertsGatherUnderNonIdentityLayout) {
+  Rng rng(14);
+  const std::vector<std::vector<Qubit>> parts = {{1, 2, 3, 4}, {0, 1, 2, 5}};
+  for (const std::vector<Qubit>& part : parts) {
+    DistState st(6, 2);
+    NetworkModel net;
+    CommStats stats;
+    st.redistribute(RankLayout::for_part(6, 2, part, st.layout()), net, stats);
+    ASSERT_FALSE(st.layout() == RankLayout::identity(6, 2));
+    sv::StateVector in(6);
+    for (Index g = 0; g < in.size(); ++g)
+      in[g] = cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    st.load_state_vector(in);
+    const sv::StateVector out = st.to_state_vector();
+    EXPECT_EQ(std::memcmp(out.data(), in.data(), in.bytes()), 0);
+  }
+
+  DistState st(6, 2);
+  try {
+    st.load_state_vector(sv::StateVector(5));
+    ADD_FAILURE() << "size mismatch accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "initial state has 5 qubits, plan expects 6"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
