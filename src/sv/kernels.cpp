@@ -1,23 +1,20 @@
 #include "sv/kernels.hpp"
 
 #include <algorithm>
-#include <array>
-#include <utility>
+#include <cstring>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 
+// for_each_run, under this TU's own namespace (see kernels_scalar.inl).
+#define HISIM_KERNEL_NS perm_impl
+#include "sv/kernels_scalar.inl"
+#undef HISIM_KERNEL_NS
+
 namespace hisim::sv {
 namespace {
-
-/// Spread compact index m over the complement of `sorted_bits` (ascending
-/// zero-insertion) — enumerates only the touched subset of bases.
-Index spread(Index m, std::span<const Qubit> sorted_bits) {
-  for (Qubit b : sorted_bits) m = bits::insert_zero(m, b);
-  return m;
-}
 
 std::vector<Qubit> sorted_qubits(const std::vector<Qubit>& qs) {
   std::vector<Qubit> sorted(qs);
@@ -27,65 +24,35 @@ std::vector<Qubit> sorted_qubits(const std::vector<Qubit>& qs) {
 
 // ---- permutation kernels ---------------------------------------------------
 // Pure index moves: no arithmetic, so no per-tier variants — every tier is
-// bit-identical here by construction. All enumerate only the touched
-// subset via compact spread().
+// bit-identical here by construction.
 
-/// X on q: swap the halves of each pair (size/2 swaps).
-void perm_x(StateVector& s, Qubit q) {
-  const Index qb = Index{1} << q;
-  cplx* a = s.data();
-  parallel::for_range(0, s.size() >> 1, [&](Index lo, Index hi) {
-    for (Index m = lo; m < hi; ++m) {
-      const Index i0 = bits::insert_zero(m, q);
-      std::swap(a[i0], a[i0 | qb]);
-    }
-  });
+/// Swaps two amplitudes as 16-byte blocks: one load and one store each,
+/// where std::swap on std::complex moves each double on its own.
+void swap_amp(cplx* x, cplx* y) {
+  unsigned char t[sizeof(cplx)];
+  std::memcpy(t, x, sizeof t);
+  std::memcpy(x, y, sizeof t);
+  std::memcpy(y, t, sizeof t);
 }
 
-/// CX/CCX/MCX: swap target halves where all controls are set —
-/// size >> (nc+1) swaps, control-satisfied bases enumerated directly.
-void perm_ctrl_x(StateVector& s, std::span<const Qubit> sorted_bits,
-                 Index cmask, Qubit target) {
-  const Index count = s.size() >> sorted_bits.size();
-  const Index tb = Index{1} << target;
+/// Every permutation kind swaps amplitude i|da with i|db over the bases i
+/// of the compact enumeration over `sorted_bits` with the controls
+/// (`cmask`) set: X and CX/CCX/MCX swap target halves (da = 0, db = the
+/// target bit), SWAP and CSWAP the (1,0)/(0,1) amplitudes (da, db = the
+/// two swapped bits). Bases come in runs of 2^b contiguous amplitudes, b
+/// the gate's lowest qubit, so each run swaps two contiguous ranges.
+void swap_runs(StateVector& s, std::span<const Qubit> sorted_bits,
+               Index cmask, Index da, Index db) {
   cplx* a = s.data();
-  parallel::for_range(0, count, [&](Index lo, Index hi) {
-    for (Index m = lo; m < hi; ++m) {
-      const Index i0 = spread(m, sorted_bits) | cmask;
-      std::swap(a[i0], a[i0 | tb]);
-    }
-  });
-}
-
-/// SWAP(qa, qb): exchange the (1,0)/(0,1) amplitudes of each 4-block —
-/// size/4 swaps instead of scanning all amplitudes and testing bits.
-void perm_swap(StateVector& s, Qubit qa, Qubit qb) {
-  if (qa == qb) return;
-  const Index ba = Index{1} << qa, bb = Index{1} << qb;
-  const std::array<Qubit, 2> sorted = {std::min(qa, qb), std::max(qa, qb)};
-  cplx* a = s.data();
-  parallel::for_range(0, s.size() >> 2, [&](Index lo, Index hi) {
-    for (Index m = lo; m < hi; ++m) {
-      const Index base = spread(m, sorted);
-      std::swap(a[base | ba], a[base | bb]);
-    }
-  });
-}
-
-/// CSWAP(c, qa, qb): size/8 swaps over control-satisfied 8-blocks.
-void perm_cswap(StateVector& s, Qubit c, Qubit qa, Qubit qb) {
-  if (qa == qb) return;
-  const Index cb = Index{1} << c;
-  const Index ba = Index{1} << qa, bb = Index{1} << qb;
-  std::array<Qubit, 3> sorted = {c, qa, qb};
-  std::sort(sorted.begin(), sorted.end());
-  cplx* a = s.data();
-  parallel::for_range(0, s.size() >> 3, [&](Index lo, Index hi) {
-    for (Index m = lo; m < hi; ++m) {
-      const Index base = spread(m, sorted) | cb;
-      std::swap(a[base | ba], a[base | bb]);
-    }
-  });
+  parallel::for_range(
+      0, s.size() >> sorted_bits.size(), [&](Index lo, Index hi) {
+        perm_impl::for_each_run(
+            lo, hi, sorted_bits, cmask, [a, da, db](Index i, Index len) {
+              cplx* p = a + (i | da);
+              cplx* q = a + (i | db);
+              for (Index k = 0; k < len; ++k) swap_amp(p + k, q + k);
+            });
+      });
 }
 
 // ---- generic k-qubit dense kernel ------------------------------------------
@@ -151,22 +118,21 @@ void apply_gate_on(StateVector& state, const Gate& g,
   // Pure permutations first: never touch the ops table (and MCX skips
   // matrix materialization entirely, so wide controls carry no 2^k cost).
   switch (g.kind) {
-    case GateKind::X:
-      perm_x(state, qs[0]);
-      return;
-    case GateKind::CX: case GateKind::CCX: case GateKind::MCX: {
-      const std::vector<Qubit> sorted = sorted_qubits(qs);
+    case GateKind::X: case GateKind::CX: case GateKind::CCX:
+    case GateKind::MCX: {  // controls first, target last
       Index cmask = 0;
       for (unsigned i = 0; i + 1 < qs.size(); ++i) cmask |= Index{1} << qs[i];
-      perm_ctrl_x(state, sorted, cmask, qs.back());
+      swap_runs(state, sorted_qubits(qs), cmask, 0, Index{1} << qs.back());
       return;
     }
-    case GateKind::SWAP:
-      perm_swap(state, qs[0], qs[1]);
+    case GateKind::SWAP: case GateKind::CSWAP: {  // control, then the pair
+      const std::size_t k = qs.size();
+      if (qs[k - 2] == qs[k - 1]) return;
+      const Index cmask = k == 3 ? Index{1} << qs[0] : 0;
+      swap_runs(state, sorted_qubits(qs), cmask, Index{1} << qs[k - 2],
+                Index{1} << qs[k - 1]);
       return;
-    case GateKind::CSWAP:
-      perm_cswap(state, qs[0], qs[1], qs[2]);
-      return;
+    }
     default:
       break;
   }

@@ -9,8 +9,18 @@
 // the operation sequence of the canonical scalar bodies in
 // kernels_scalar.inl (see the contract comment there). The same bodies
 // are instantiated in this TU (namespace avx2_fb) and used verbatim for
-// the cases vectors cannot reach: stride-1 pair layouts (gate bit 0),
-// chunk-edge remainders, and short runs.
+// what vectors cannot reach: single-amplitude runs and remainders, and
+// the general-diagonal and 4x4 kernels at gate bit 0.
+//
+// Position independence: the cost per amplitude should not depend much
+// on which qubits a gate touches, since the hierarchical executor puts
+// every part's lowest qubits on the inner vector's qubits 0-3. Dense and
+// diagonal 1q gates on qubits 1-3 walk whole 2^(q+1)-amplitude blocks
+// (for_each_block). The controlled kernels, and 1q gates on qubits >= 4
+// as controlled gates without controls, step from run to run with
+// avx2_fb::for_each_run at every lowest gate bit. At bit 0, where runs are
+// single amplitudes, the controlled diagonal instead walks runs of
+// two-amplitude vectors and scales them per lane (ctrl_diag_bit0).
 
 #include "sv/kernel_dispatch.hpp"
 
@@ -19,6 +29,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
@@ -71,14 +82,53 @@ double* amp(cplx* a, Index i) { return reinterpret_cast<double*>(a + i); }
   _mm256_storeu_pd(p1, _mm256_add_pd(cmul_vc(v0, c10), cmul_vc(v1, c11)));
 }
 
+/// For gate qubit q in 1..3: calls body.template operator()<Q>(p), Q = q,
+/// on every block of 2^(Q+1) amplitudes, p the block's first double. A
+/// block's low half holds the i0 side of its 2^Q pairs and its high half
+/// the i1 side, so the walk pays no per-run bookkeeping and the constant
+/// block size lets the compiler unroll `body`. Each pool chunk covers
+/// `chunk_amps` amplitudes.
+template <class Body>
+void for_each_block(StateVector& s, Qubit q, Index chunk_amps,
+                    const Body& body) {
+  double* a = amp(s.data(), 0);
+  const auto walk = [&]<Qubit Q>() {
+    constexpr Index kBlock = Index{1} << (Q + 1);
+    parallel::for_range(
+        0, s.size() / kBlock,
+        [&](Index lo, Index hi) {
+          // Local copies, so the body's constants and the pointer live in
+          // registers rather than being reloaded after every store.
+          const Body local = body;
+          double* p = a + 2 * kBlock * lo;
+          for (Index blk = lo; blk < hi; ++blk, p += 2 * kBlock)
+            local.template operator()<Q>(p);
+        },
+        chunk_amps / kBlock);
+  };
+  switch (q) {
+    case 1: walk.template operator()<1>(); break;
+    case 2: walk.template operator()<2>(); break;
+    default: walk.template operator()<3>(); break;
+  }
+}
+
+// Defined below; 1q gates on qubits >= 4 run on them.
+void a2_apply_ctrl_1q(StateVector& s, std::span<const Qubit> sorted_bits,
+                      Index cmask, Qubit target, const cplx* u);
+void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
+                        Index cmask, Qubit target, cplx d0, cplx d1);
+
 // ---- dense 2x2 -------------------------------------------------------------
 
 /// The shared dense-pair stream: amplitudes [p0, p0 + 2*count) mix with
 /// [p1, p1 + 2*count) through the broadcast 2x2 columns. Unrolled twice —
 /// the four output vectors per iteration are independent chains, so the
-/// multiplies overlap instead of serializing on the loop counter.
-void dense_pair_stream(double* p0, double* p1, Index count, const CVec& c00,
-                       const CVec& c01, const CVec& c10, const CVec& c11) {
+/// multiplies overlap instead of serializing on the loop counter. Forced
+/// inline, like pair_vec_step: the controlled kernel runs it once per run.
+[[gnu::always_inline]] inline void dense_pair_stream(
+    double* p0, double* p1, Index count, const CVec& c00, const CVec& c01,
+    const CVec& c10, const CVec& c11) {
   Index done = 0;
   for (; done + 4 <= count; done += 4, p0 += 8, p1 += 8) {
     const __m256d v0a = _mm256_loadu_pd(p0);
@@ -98,7 +148,6 @@ void dense_pair_stream(double* p0, double* p1, Index count, const CVec& c00,
 
 void a2_apply_1q(StateVector& s, Qubit q, const cplx* u) {
   const Index half = s.size() >> 1;
-  const Index qb = Index{1} << q;
   cplx* a = s.data();
   if (q == 0) {
     // Pairs are adjacent: one vector holds a full (a0, a1) pair. Split it
@@ -129,33 +178,29 @@ void a2_apply_1q(StateVector& s, Qubit q, const cplx* u) {
     });
     return;
   }
-  // q >= 1: the i0 side of a run of 2^q consecutive pairs is contiguous
-  // (and so is the i1 side, qb amplitudes up) — resolve the indices once
-  // per run, then walk pointers.
-  const CVec c00 = cvec_broadcast(u[0]), c01 = cvec_broadcast(u[1]);
-  const CVec c10 = cvec_broadcast(u[2]), c11 = cvec_broadcast(u[3]);
-  parallel::for_range(0, half, [&](Index lo, Index hi) {
-    Index m = lo;
-    while (m < hi) {
-      const Index j = m & (qb - 1);
-      const Index i0 = ((m >> q) << (q + 1)) | j;
-      const Index count = std::min(hi, m - j + qb) - m;
-      dense_pair_stream(amp(a, i0), amp(a, i0 | qb), count, c00, c01, c10,
-                        c11);
-      if (count & 1) {
-        const Index last = i0 + (count - 1);
-        fb::pair_update(a, last, last | qb, u);
-      }
-      m += count;
-    }
-  });
+  if (q <= 3) {
+    const CVec c00 = cvec_broadcast(u[0]), c01 = cvec_broadcast(u[1]);
+    const CVec c10 = cvec_broadcast(u[2]), c11 = cvec_broadcast(u[3]);
+    for_each_block(s, q, 2 * parallel::kDefaultGrain,
+                   [=]<Qubit Q>(double* p) {
+                     constexpr Index kPairs = Index{1} << Q;
+                     dense_pair_stream(p, p + 2 * kPairs, kPairs, c00, c01,
+                                       c10, c11);
+                   });
+    return;
+  }
+  // q >= 4: runs of 2^q pairs, as for a controlled gate with no controls.
+  const std::array<Qubit, 1> bits = {q};
+  a2_apply_ctrl_1q(s, bits, 0, q, u);
 }
 
 // ---- diagonal 2x2 ----------------------------------------------------------
 
 /// Multiplies amplitudes [i, end) by the broadcast constant `cd`;
-/// per-amplitude arithmetic identical to the scalar tier.
-void scale_run(cplx* a, Index i, Index end, const CVec& cd, cplx d) {
+/// per-amplitude arithmetic identical to the scalar tier. Forced inline:
+/// the controlled kernel runs it once per run, down to one amplitude.
+[[gnu::always_inline]] inline void scale_run(cplx* a, Index i, Index end,
+                                             const CVec& cd, cplx d) {
   double* p = amp(a, i);
   for (; i + 8 <= end; i += 8, p += 16) {
     _mm256_storeu_pd(p, cmul_vc(_mm256_loadu_pd(p), cd));
@@ -168,10 +213,24 @@ void scale_run(cplx* a, Index i, Index end, const CVec& cd, cplx d) {
   for (; i < end; ++i) a[i] = fb::cmul(a[i], d);
 }
 
+/// Multiplies `count` vectors from p by the per-lane constant `cd`, then
+/// blends back the original lanes KEEP selects: a lane whose phase is
+/// exactly 1 (or that the gate does not touch) stays a bitwise no-op, as
+/// the scalar tier's skip requires.
+template <int KEEP>
+[[gnu::always_inline]] inline void scale_lanes(double* p, Index count,
+                                               const CVec& cd) {
+  for (Index v = 0; v < count; ++v, p += 4) {
+    const __m256d x = _mm256_loadu_pd(p);
+    __m256d o = cmul_vc(x, cd);
+    if constexpr (KEEP != 0) o = _mm256_blend_pd(o, x, KEEP);
+    _mm256_storeu_pd(p, o);
+  }
+}
+
 void a2_apply_1q_diag(StateVector& s, Qubit q, cplx d0, cplx d1) {
   const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
   if (skip0 && skip1) return;
-  const Index qb = Index{1} << q;
   cplx* a = s.data();
   if (q == 0) {
     // Alternating d0/d1 per amplitude: one lane-mixed constant, with an
@@ -180,18 +239,7 @@ void a2_apply_1q_diag(StateVector& s, Qubit q, cplx d0, cplx d1) {
     const CVec cd = cvec_lanes(d0, d1);
     const auto run = [&]<int KEEP>() {
       parallel::for_range(0, s.size() >> 1, [&](Index lo, Index hi) {
-        const auto step = [&cd](double* p) {
-          const __m256d v = _mm256_loadu_pd(p);
-          __m256d o = cmul_vc(v, cd);
-          if constexpr (KEEP != 0) o = _mm256_blend_pd(o, v, KEEP);
-          _mm256_storeu_pd(p, o);
-        };
-        Index m = lo;
-        for (; m + 2 <= hi; m += 2) {
-          step(amp(a, m << 1));
-          step(amp(a, (m + 1) << 1));
-        }
-        for (; m < hi; ++m) step(amp(a, m << 1));
+        scale_lanes<KEEP>(amp(a, lo << 1), hi - lo, cd);
       });
     };
     if (skip0)
@@ -202,126 +250,105 @@ void a2_apply_1q_diag(StateVector& s, Qubit q, cplx d0, cplx d1) {
       run.template operator()<0>();
     return;
   }
-  // q >= 1: runs of 2^q amplitudes share one phase.
-  const CVec c0 = cvec_broadcast(d0), c1 = cvec_broadcast(d1);
-  parallel::for_range(0, s.size(), [&](Index lo, Index hi) {
-    Index i = lo;
-    while (i < hi) {
-      const Index run_end = std::min(hi, (i | (qb - 1)) + 1);
-      const bool one = (i & qb) != 0;
-      if (one ? skip1 : skip0) {
-        i = run_end;
-        continue;
-      }
-      scale_run(a, i, run_end, one ? c1 : c0, one ? d1 : d0);
-      i = run_end;
-    }
-  });
+  if (q <= 3) {
+    const CVec c0 = cvec_broadcast(d0), c1 = cvec_broadcast(d1);
+    for_each_block(s, q, parallel::kDefaultGrain, [=]<Qubit Q>(double* p) {
+      constexpr Index kVecs = Index{1} << (Q - 1);  // vectors per half
+      if (!skip0) scale_lanes<0>(p, kVecs, c0);
+      if (!skip1) scale_lanes<0>(p + 4 * kVecs, kVecs, c1);
+    });
+    return;
+  }
+  // q >= 4: runs of 2^q amplitudes, as for a controlled gate with no
+  // controls.
+  const std::array<Qubit, 1> bits = {q};
+  a2_apply_ctrl_diag(s, bits, 0, q, d0, d1);
 }
 
 // ---- controlled 2x2 --------------------------------------------------------
 
 void a2_apply_ctrl_1q(StateVector& s, std::span<const Qubit> sorted_bits,
                       Index cmask, Qubit target, const cplx* u) {
-  const Qubit minb = sorted_bits.front();
-  if (minb == 0) {  // enumerated bases have stride 2 — no contiguous runs
-    fb::apply_ctrl_1q(s, sorted_bits, cmask, target, u);
-    return;
-  }
-  const Index count = s.size() >> sorted_bits.size();
-  const Index L = Index{1} << minb;  // contiguous pair-bases per run
   const Index tb = Index{1} << target;
   cplx* a = s.data();
   const CVec c00 = cvec_broadcast(u[0]), c01 = cvec_broadcast(u[1]);
   const CVec c10 = cvec_broadcast(u[2]), c11 = cvec_broadcast(u[3]);
-  parallel::for_range(0, count, [&](Index lo, Index hi) {
-    Index m = lo;
-    if (L == 2) {
-      // minb == 1: every aligned run is exactly one vector per stream —
-      // the general run loop's bookkeeping would cost as much as the
-      // arithmetic, so step pairs of enumerands directly.
-      if (m & 1) {
-        const Index i0 = fb::spread(m, sorted_bits) | cmask;
-        fb::pair_update(a, i0, i0 | tb, u);
-        ++m;
-      }
-      for (; m + 2 <= hi; m += 2) {
-        const Index i0 = fb::spread(m, sorted_bits) | cmask;
-        pair_vec_step(amp(a, i0), amp(a, i0 | tb), c00, c01, c10, c11);
-      }
-      if (m < hi) {
-        const Index i0 = fb::spread(m, sorted_bits) | cmask;
-        fb::pair_update(a, i0, i0 | tb, u);
-      }
-      return;
-    }
-    while (m < hi) {
-      // Bases within a run of L enumerands are contiguous (the low minb
-      // bits of m pass through spread() unshifted): resolve once, walk.
-      const Index j = m & (L - 1);
-      const Index i0 = fb::spread(m, sorted_bits) | cmask;
-      const Index n_run = std::min(hi, m - j + L) - m;
-      dense_pair_stream(amp(a, i0), amp(a, i0 | tb), n_run, c00, c01, c10,
-                        c11);
-      if (n_run & 1) {
-        const Index last = i0 + (n_run - 1);
-        fb::pair_update(a, last, last | tb, u);
-      }
-      m += n_run;
-    }
-  });
+  parallel::for_range(
+      0, s.size() >> sorted_bits.size(), [&](Index lo, Index hi) {
+        // Both pair sides of a run are dense: i0 up, and tb above it.
+        fb::for_each_run(lo, hi, sorted_bits, cmask, [=](Index i0, Index len) {
+          dense_pair_stream(amp(a, i0), amp(a, i0 | tb), len, c00, c01, c10,
+                            c11);
+          if (len & 1) {
+            const Index last = i0 + (len - 1);
+            fb::pair_update(a, last, last | tb, u);
+          }
+        });
+      });
+}
+
+/// a2_apply_ctrl_diag with a gate bit on qubit 0, where every run is one
+/// amplitude. A vector (a[2p], a[2p+1]) holds both values of bit 0, so
+/// this steps over runs of pair indices p instead — for_each_run over the
+/// other gate bits and controls, shifted down one — and scales whole
+/// vectors per lane, blending back the lanes the gate leaves alone.
+void ctrl_diag_bit0(StateVector& s, std::span<const Qubit> sorted_bits,
+                    Index cmask, Qubit target, cplx d0, cplx d1) {
+  const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
+  const std::size_t k = sorted_bits.size() - 1;
+  std::array<Qubit, 64> shifted{};
+  for (std::size_t j = 0; j < k; ++j) shifted[j] = sorted_bits[j + 1] - 1;
+  const std::span<const Qubit> pbits(shifted.data(), k);
+  const Index pmask = cmask >> 1;
+  double* a = amp(s.data(), 0);
+  const auto sweep = [&](auto body) {
+    parallel::for_range(0, s.size() >> (k + 1), [&](Index lo, Index hi) {
+      fb::for_each_run(lo, hi, pbits, pmask, [=](Index p, Index len) {
+        body(a + 4 * p, len);
+      });
+    });
+  };
+  if (target != 0) {
+    // Bit 0 is a control: lane 1 of the target-0 vectors takes d0, lane 1
+    // of their target-1 twins (t1 doubles up) d1.
+    const Index t1 = 2 * (Index{1} << target);
+    const CVec c0 = cvec_broadcast(d0), c1 = cvec_broadcast(d1);
+    sweep([=](double* p, Index n) {
+      if (!skip0) scale_lanes<0b0011>(p, n, c0);
+      if (!skip1) scale_lanes<0b0011>(p + t1, n, c1);
+    });
+    return;
+  }
+  // Bit 0 is the target: lane 0 takes d0 and lane 1 d1.
+  const CVec cd = cvec_lanes(d0, d1);
+  if (skip0)
+    sweep([=](double* p, Index n) { scale_lanes<0b0011>(p, n, cd); });
+  else if (skip1)
+    sweep([=](double* p, Index n) { scale_lanes<0b1100>(p, n, cd); });
+  else
+    sweep([=](double* p, Index n) { scale_lanes<0>(p, n, cd); });
 }
 
 void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
                         Index cmask, Qubit target, cplx d0, cplx d1) {
   const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
   if (skip0 && skip1) return;
-  const Qubit minb = sorted_bits.front();
-  if (minb == 0) {
-    fb::apply_ctrl_diag(s, sorted_bits, cmask, target, d0, d1);
+  if (sorted_bits.front() == 0) {
+    ctrl_diag_bit0(s, sorted_bits, cmask, target, d0, d1);
     return;
   }
-  const Index count = s.size() >> sorted_bits.size();
-  const Index L = Index{1} << minb;
   const Index tb = Index{1} << target;
   cplx* a = s.data();
   const CVec c0 = cvec_broadcast(d0), c1 = cvec_broadcast(d1);
-  parallel::for_range(0, count, [&](Index lo, Index hi) {
-    Index m = lo;
-    if (L == 2) {
-      // minb == 1: one vector per stream per aligned run (see
-      // a2_apply_ctrl_1q) — step enumerand pairs directly.
-      const auto scalar_step = [&](Index mm) {
-        const Index i0 = fb::spread(mm, sorted_bits) | cmask;
-        if (!skip0) a[i0] = fb::cmul(a[i0], d0);
-        if (!skip1) a[i0 | tb] = fb::cmul(a[i0 | tb], d1);
-      };
-      if (m & 1) scalar_step(m++);
-      for (; m + 2 <= hi; m += 2) {
-        const Index i0 = fb::spread(m, sorted_bits) | cmask;
-        if (!skip0) {
-          double* p = amp(a, i0);
-          _mm256_storeu_pd(p, cmul_vc(_mm256_loadu_pd(p), c0));
-        }
-        if (!skip1) {
-          double* p = amp(a, i0 | tb);
-          _mm256_storeu_pd(p, cmul_vc(_mm256_loadu_pd(p), c1));
-        }
-      }
-      if (m < hi) scalar_step(m);
-      return;
-    }
-    while (m < hi) {
-      // Same run contiguity as a2_apply_ctrl_1q: both the d0 stream at i0
-      // and the d1 stream at i0|tb are dense over one run of enumerands.
-      const Index j = m & (L - 1);
-      const Index i0 = fb::spread(m, sorted_bits) | cmask;
-      const Index n_run = std::min(hi, m - j + L) - m;
-      if (!skip0) scale_run(a, i0, i0 + n_run, c0, d0);
-      if (!skip1) scale_run(a, i0 | tb, (i0 | tb) + n_run, c1, d1);
-      m += n_run;
-    }
-  });
+  parallel::for_range(
+      0, s.size() >> sorted_bits.size(), [&](Index lo, Index hi) {
+        // The d0 stream at i0 and the d1 stream at i0|tb are both dense
+        // over one run.
+        fb::for_each_run(lo, hi, sorted_bits, cmask, [=](Index i0, Index len) {
+          if (!skip0) scale_run(a, i0, i0 + len, c0, d0);
+          if (!skip1) scale_run(a, i0 | tb, (i0 | tb) + len, c1, d1);
+        });
+      });
 }
 
 // ---- general diagonal ------------------------------------------------------

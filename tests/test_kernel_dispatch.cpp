@@ -10,16 +10,25 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "circuit/gate.hpp"
 #include "circuits/generators.hpp"
+#include "common/bits.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "hisvsim/engine.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 #include "testing/random_circuits.hpp"
+
+// The kernels' run stepping, under a namespace of its own (see the header
+// of kernels_scalar.inl), for the direct test of for_each_run below.
+#define HISIM_KERNEL_NS run_walk_test
+#include "sv/kernels_scalar.inl"
+#undef HISIM_KERNEL_NS
 
 namespace hisim {
 namespace {
@@ -35,10 +44,14 @@ void expect_bit_identical(const sv::StateVector& a, const sv::StateVector& b,
   }
 }
 
-/// One concrete gate per GateKind (plus dense/Kraus Unitary forms), on
-/// operand layouts that exercise both the vector fast paths (bits >= 1)
-/// and the qubit-0 / low-bit fallbacks.
-std::vector<Gate> every_kind_gates() {
+/// A gate kind (or a dense / Kraus Unitary form) as a factory over its
+/// operand list, controls first and target last.
+struct Kind {
+  unsigned arity;
+  std::function<Gate(const std::vector<Qubit>&)> make;
+};
+
+std::vector<Kind> every_kind() {
   Matrix u2(2, 2);
   u2(0, 0) = {0.36, 0.48};
   u2(0, 1) = {0.8, 0.0};
@@ -49,43 +62,105 @@ std::vector<Gate> every_kind_gates() {
     for (std::size_t c = 0; c < 2; ++c) k2(r, c) *= 0.9;  // non-unitary
   const Matrix u4 =
       Gate::rxx(0, 1, 0.37).matrix() * Gate::cp(0, 1, -0.81).matrix();
-  std::vector<Gate> gates = {
-      Gate::i(2),
-      Gate::x(3),          Gate::x(0),
-      Gate::y(2),          Gate::y(0),
-      Gate::z(4),          Gate::z(0),
-      Gate::h(3),          Gate::h(0),
-      Gate::s(2),          Gate::sdg(3),
-      Gate::t(1),          Gate::tdg(0),
-      Gate::sx(2),
-      Gate::rx(3, 0.7),    Gate::ry(2, -0.4),
-      Gate::rz(1, 1.1),    Gate::rz(0, 1.1),
-      Gate::p(2, 0.9),
-      Gate::u2(3, 0.3, -0.5),
-      Gate::u3(1, 0.4, 0.2, -0.7),
-      Gate::cx(1, 4),      Gate::cx(0, 3),    Gate::cx(4, 0),
-      Gate::cy(2, 5),      Gate::cy(0, 1),
-      Gate::cz(1, 4),      Gate::cz(0, 5),
-      Gate::ch(2, 4),      Gate::ch(0, 3),
-      Gate::crx(1, 3, 0.6),
-      Gate::cry(2, 5, -0.8), Gate::cry(0, 4, 0.3),
-      Gate::crz(1, 4, 0.5),
-      Gate::cp(2, 5, 0.7), Gate::cp(0, 3, -0.2),
-      Gate::cu3(1, 4, 0.3, -0.6, 0.9),
-      Gate::swap(1, 4),    Gate::swap(0, 3),
-      Gate::rzz(1, 4, 0.8), Gate::rzz(0, 3, -0.5),
-      Gate::rxx(1, 4, 0.6), Gate::rxx(0, 3, 0.4),
-      Gate::ccx(1, 3, 5),  Gate::ccx(0, 2, 4),
-      Gate::cswap(2, 4, 5), Gate::cswap(0, 1, 3),
-      Gate::mcx({0, 1, 2, 3, 4}),
-      Gate::unitary({2, 4}, u4),
-      Gate::kraus({3}, k2),
-      Gate::noise_slot(2, 0),
+  using Q = std::vector<Qubit>;
+  return {
+      {1, [](const Q& q) { return Gate::i(q[0]); }},
+      {1, [](const Q& q) { return Gate::x(q[0]); }},
+      {1, [](const Q& q) { return Gate::y(q[0]); }},
+      {1, [](const Q& q) { return Gate::z(q[0]); }},
+      {1, [](const Q& q) { return Gate::h(q[0]); }},
+      {1, [](const Q& q) { return Gate::s(q[0]); }},
+      {1, [](const Q& q) { return Gate::sdg(q[0]); }},
+      {1, [](const Q& q) { return Gate::t(q[0]); }},
+      {1, [](const Q& q) { return Gate::tdg(q[0]); }},
+      {1, [](const Q& q) { return Gate::sx(q[0]); }},
+      {1, [](const Q& q) { return Gate::rx(q[0], 0.7); }},
+      {1, [](const Q& q) { return Gate::ry(q[0], -0.4); }},
+      {1, [](const Q& q) { return Gate::rz(q[0], 1.1); }},
+      {1, [](const Q& q) { return Gate::p(q[0], 0.9); }},
+      {1, [](const Q& q) { return Gate::u2(q[0], 0.3, -0.5); }},
+      {1, [](const Q& q) { return Gate::u3(q[0], 0.4, 0.2, -0.7); }},
+      {1, [k2](const Q& q) { return Gate::kraus(q, k2); }},
+      {1, [](const Q& q) { return Gate::noise_slot(q[0], 0); }},
+      {2, [](const Q& q) { return Gate::cx(q[0], q[1]); }},
+      {2, [](const Q& q) { return Gate::cy(q[0], q[1]); }},
+      {2, [](const Q& q) { return Gate::cz(q[0], q[1]); }},
+      {2, [](const Q& q) { return Gate::ch(q[0], q[1]); }},
+      {2, [](const Q& q) { return Gate::crx(q[0], q[1], 0.6); }},
+      {2, [](const Q& q) { return Gate::cry(q[0], q[1], -0.8); }},
+      {2, [](const Q& q) { return Gate::crz(q[0], q[1], 0.5); }},
+      {2, [](const Q& q) { return Gate::cp(q[0], q[1], 0.7); }},
+      {2, [](const Q& q) { return Gate::cu3(q[0], q[1], 0.3, -0.6, 0.9); }},
+      {2, [](const Q& q) { return Gate::swap(q[0], q[1]); }},
+      {2, [](const Q& q) { return Gate::rzz(q[0], q[1], 0.8); }},
+      {2, [](const Q& q) { return Gate::rxx(q[0], q[1], 0.6); }},
+      {2, [u4](const Q& q) { return Gate::unitary(q, u4); }},
+      {3, [](const Q& q) { return Gate::ccx(q[0], q[1], q[2]); }},
+      {3, [](const Q& q) { return Gate::cswap(q[0], q[1], q[2]); }},
+      {4, [](const Q& q) { return Gate::mcx(q); }},
   };
+}
+
+/// Operand lists for a k-qubit gate on n qubits: every qubit (k = 1),
+/// every ordered pair (k = 2), and for k >= 3 qubits 0 and 1 in every
+/// ordered pair of roles, the other roles filled once from qubit 2 up and
+/// once from qubit n-1 down. Low operands are where the kernels' runs are
+/// shortest and the AVX2 tier takes its special paths.
+std::vector<std::vector<Qubit>> placements(unsigned k, unsigned n) {
+  std::vector<std::vector<Qubit>> out;
+  if (k == 1) {
+    for (Qubit a = 0; a < n; ++a) out.push_back({a});
+  } else if (k == 2) {
+    for (Qubit a = 0; a < n; ++a)
+      for (Qubit b = 0; b < n; ++b)
+        if (a != b) out.push_back({a, b});
+  } else {
+    for (unsigned r0 = 0; r0 < k; ++r0)
+      for (unsigned r1 = 0; r1 < k; ++r1) {
+        if (r0 == r1) continue;
+        for (bool from_top : {false, true}) {
+          std::vector<Qubit> q(k);
+          Qubit fill = from_top ? n - 1 : 2;
+          for (unsigned r = 0; r < k; ++r) {
+            if (r == r0) q[r] = 0;
+            else if (r == r1) q[r] = 1;
+            else q[r] = from_top ? fill-- : fill++;
+          }
+          out.push_back(q);
+        }
+      }
+  }
+  return out;
+}
+
+/// Every kind at every placement on n qubits.
+std::vector<Gate> every_placement(unsigned n) {
+  std::vector<Gate> gates;
+  for (const Kind& kind : every_kind())
+    for (const std::vector<Qubit>& q : placements(kind.arity, n))
+      gates.push_back(kind.make(q));
   return gates;
 }
 
-bool permutation_or_diagonal(const Gate& g) {
+/// Gates on 15 qubits whose runs (2^13 or 2^14 amplitudes) are longer than
+/// the pool's 4096-enumerand grain, so on 4 threads chunk edges cut runs.
+/// In cx(1, 14) the edges cut a strided group of 2^12 short runs instead;
+/// h(1) and cp(0, 14) put the AVX2 tier's block walk and its bit-0
+/// controlled-diagonal path on the pool.
+std::vector<Gate> pooled_gates() {
+  return {Gate::cx(13, 14), Gate::cp(13, 14, 0.7), Gate::rz(14, 1.1),
+          Gate::cx(1, 14),  Gate::h(1),            Gate::cp(0, 14, -0.3)};
+}
+
+/// Runs fn with the pool at `threads` workers, restoring the default.
+template <class Fn>
+void with_threads(unsigned threads, Fn fn) {
+  parallel::set_num_threads(threads);
+  fn();
+  parallel::set_num_threads(0);
+}
+
+bool is_permutation(const Gate& g) {
   switch (g.kind) {
     case GateKind::X:
     case GateKind::CX:
@@ -95,26 +170,103 @@ bool permutation_or_diagonal(const Gate& g) {
     case GateKind::CSWAP:
       return true;
     default:
-      return g.is_diagonal();
+      return false;
+  }
+}
+
+void expect_tiers_agree(const Gate& g, unsigned n) {
+  // Every third amplitude gets an imaginary part of exactly -0.0: a
+  // multiply by an exact 1.0 phase would flip it to +0.0 wherever the
+  // real part is positive, so the bit-identity check below sees a tier
+  // that fails to skip such a multiply.
+  sv::StateVector a = testutil::random_state(n, 0xabcd);
+  for (Index i = 0; i < a.size(); i += 3) a[i] = cplx(a[i].real(), -0.0);
+  sv::StateVector b = a;
+  sv::apply_gate(a, g, sv::kernel_ops(sv::KernelTier::Scalar));
+  sv::apply_gate(b, g, sv::kernel_ops(sv::KernelTier::Simd));
+  if (is_permutation(g) || g.is_diagonal()) {
+    expect_bit_identical(a, b, g.to_string());
+  } else {
+    EXPECT_LT(a.max_abs_diff(b), 1e-12) << g.to_string();
   }
 }
 
 TEST(KernelDispatch, EveryGateKindEveryTierMatchesScalar) {
   if (!sv::simd_kernels_available())
     GTEST_SKIP() << "only the scalar tier exists in this build/CPU";
-  const sv::KernelOps& scalar = sv::kernel_ops(sv::KernelTier::Scalar);
-  const sv::KernelOps& simd = sv::kernel_ops(sv::KernelTier::Simd);
-  const unsigned n = 6;
-  for (const Gate& g : every_kind_gates()) {
-    sv::StateVector a = testutil::random_state(n, 0xabcd);
-    sv::StateVector b = a;
-    sv::apply_gate(a, g, scalar);
-    sv::apply_gate(b, g, simd);
-    if (permutation_or_diagonal(g)) {
-      expect_bit_identical(a, b, g.to_string());
-    } else {
-      EXPECT_LT(a.max_abs_diff(b), 1e-12) << g.to_string();
+  for (const Gate& g : every_placement(7)) expect_tiers_agree(g, 7);
+  with_threads(4, [] {
+    for (const Gate& g : pooled_gates()) expect_tiers_agree(g, 15);
+  });
+}
+
+/// The amplitude index a permutation gate moves into index j (each kind is
+/// its own inverse, so this is also where j's amplitude goes).
+Index permutation_source(const Gate& g, Index j) {
+  const std::vector<Qubit>& q = g.qubits;
+  const auto bit = [](Qubit b) { return Index{1} << b; };
+  const auto swapped = [&](Qubit a, Qubit b) {
+    return bits::test(j, a) == bits::test(j, b) ? j : j ^ bit(a) ^ bit(b);
+  };
+  switch (g.kind) {
+    case GateKind::SWAP:
+      return swapped(q[0], q[1]);
+    case GateKind::CSWAP:
+      return bits::test(j, q[0]) ? swapped(q[1], q[2]) : j;
+    default: {  // X, CX, CCX, MCX: controls first, target last
+      for (std::size_t c = 0; c + 1 < q.size(); ++c)
+        if (!bits::test(j, q[c])) return j;
+      return j ^ bit(q.back());
     }
+  }
+}
+
+// Both tiers share the permutation kernels, so comparing tiers cannot
+// catch a wrong swap: check each kernel against the gate's bit formula.
+TEST(KernelDispatch, PermutationsMatchTheirBitFormula) {
+  const auto check = [](const Gate& g, unsigned n) {
+    sv::StateVector s(n);
+    for (Index i = 0; i < s.size(); ++i)
+      s[i] = cplx(static_cast<double>(i), -static_cast<double>(i));
+    sv::apply_gate(s, g, sv::kernel_ops(sv::KernelTier::Scalar));
+    for (Index j = 0; j < s.size(); ++j) {
+      const double src = static_cast<double>(permutation_source(g, j));
+      ASSERT_EQ(s[j], cplx(src, -src)) << g.to_string() << " amp " << j;
+    }
+  };
+  for (const Gate& g : every_placement(7))
+    if (is_permutation(g)) check(g, 7);
+  with_threads(4, [&] {
+    for (const Gate& g : pooled_gates())
+      if (is_permutation(g)) check(g, 15);
+  });
+}
+
+// The pool cuts ranges only at multiples of its power-of-two grain, so
+// the kernels never start or end a walk at every offset; walk every
+// [lo, hi) here and check the runs list spread(m) | cmask in order.
+TEST(KernelDispatch, RunWalkCoversEveryRangeInOrder) {
+  const unsigned n = 8;
+  const std::vector<std::vector<Qubit>> bit_sets = {
+      {0}, {2}, {0, 1}, {0, 3}, {1, 2}, {2, 5}, {1, 3, 6}, {0, 2, 4, 7}};
+  for (const std::vector<Qubit>& sorted : bit_sets) {
+    const Index cmask = Index{1} << sorted.back();
+    const Index count = Index{1} << (n - sorted.size());
+    for (Index lo = 0; lo < count; ++lo)
+      for (Index hi = lo + 1; hi <= count; ++hi) {
+        Index m = lo;
+        sv::run_walk_test::for_each_run(
+            lo, hi, sorted, cmask, [&](Index i0, Index len) {
+              ASSERT_GE(len, 1u);
+              ASSERT_LE(len, Index{1} << sorted.front());
+              for (Index t = 0; t < len; ++t, ++m)
+                ASSERT_EQ(i0 + t,
+                          sv::run_walk_test::spread(m, sorted) | cmask)
+                    << "bits " << ::testing::PrintToString(sorted)
+                    << " range [" << lo << ", " << hi << ")";
+            });
+        ASSERT_EQ(m, hi);
+      }
   }
 }
 
