@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -22,8 +23,10 @@ struct InlineDepthGuard {
 unsigned resolved_threads() {
   const unsigned configured = g_threads.load(std::memory_order_relaxed);
   if (configured != 0) return configured;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  // Asked once: hardware_concurrency() can cost a syscall, and every
+  // for_range lands here.
+  static const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return hw;
 }
 
 /// A minimal fork-join pool: workers sleep between parallel regions.

@@ -7,7 +7,7 @@
 namespace hisim {
 
 /// Monotonic wall-clock timer used by the benchmark harness and the
-/// per-phase accounting in RunReport.
+/// per-phase accounting in hisim::Result.
 class Timer {
  public:
   Timer() : start_(clock::now()) {}

@@ -112,7 +112,7 @@ class ThreadedBackend final : public CommBackend {
   unsigned max_workers_ = 0;
 };
 
-/// Backend selection surfaced through CLI/bench flags and RunOptions.
+/// Backend selection surfaced through the CLI and bench --backend flags.
 enum class BackendKind { Serial, Threaded };
 
 /// Process-wide shared instances (both backends are stateless).

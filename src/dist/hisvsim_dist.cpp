@@ -25,15 +25,6 @@ double pipelined_total_seconds(
   return t;
 }
 
-double DistRunReport::total_seconds_overlapped() const {
-  return pipelined_total_seconds(part_times, total_seconds());
-}
-
-double DistRunReport::comm_ratio() const {
-  const double total = total_seconds();
-  return total > 0.0 ? comm.modeled_max_seconds / total : 0.0;
-}
-
 DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
                       const RankLayout* initial) {
   Timer compile_timer;
@@ -131,10 +122,6 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
   DistRunReport rep;
-  rep.parts = plan.num_parts();
-  rep.inner_parts = plan.inner_parts;
-  rep.ranks = 1u << p;
-  rep.partition_seconds = plan.partition_seconds;
 
   // One accounting source for the run: every per-step measurement is
   // recorded into this run-local registry (local so concurrent executes
@@ -268,12 +255,6 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
   reg.counter("exchange.messages").add(rep.comm.messages_total);
   rep.metrics = reg.flat();
   return rep;
-}
-
-DistRunReport DistributedHiSvSim::run(const Circuit& c, const Options& opt,
-                                      DistState& state) const {
-  const DistPlan plan = compile_plan(c, opt, &state.layout());
-  return execute_plan(plan, state, opt.net, opt.backend);
 }
 
 }  // namespace hisim::dist

@@ -18,19 +18,16 @@ namespace hisim::dist {
 /// measured compute) pairs: while a rank computes part i it can already
 /// receive the exchange for part i+1, so
 ///   T = comm_1 + sum_i max(compute_i, comm_{i+1})   (comm_{k+1} = 0).
-/// Returns `fallback` when no per-part times were recorded. The single
-/// definition shared by DistRunReport and hisim::Result.
+/// Returns `fallback` when no per-part times were recorded. The definition
+/// behind hisim::Result::total_seconds_overlapped().
 double pipelined_total_seconds(
     std::span<const std::pair<double, double>> part_times, double fallback);
 
-/// Consolidated accounting of one distributed run: measured compute and
+/// What execute_plan measures in one distributed run: compute and
 /// exchange wall-clock time, modeled network time, and the per-part
-/// (comm, compute) pairs the modeled overlap estimate is built from.
+/// (comm, compute) pairs the modeled overlap estimate is built from. Part
+/// counts and partitioning time are properties of the DistPlan.
 struct DistRunReport {
-  std::size_t parts = 0;        // first-level (node-memory-sized) parts
-  std::size_t inner_parts = 0;  // second-level (cache-sized) parts, if any
-  unsigned ranks = 0;           // simulated virtual ranks (2^p)
-  double partition_seconds = 0.0;
   /// Measured wall-clock span of the shard-local apply phase, summed over
   /// parts (first rank starting to compute → last rank finished; the
   /// per-rank loop may fan out over the worker pool). Directly comparable
@@ -65,31 +62,12 @@ struct DistRunReport {
   /// the same registry — one accounting source — and keep their exact
   /// to_json names and semantics.
   std::map<std::string, double> metrics;
-
-  /// Conservative serial estimate: every rank waits for the slowest
-  /// exchange before computing.
-  double total_seconds() const {
-    return compute_seconds + comm.modeled_max_seconds;
-  }
-
-  /// Pipelined estimate (paper Sec. V-C): while a rank computes part i it
-  /// can already receive the exchange for part i+1, so consecutive
-  /// (compute, next-comm) phases overlap:
-  ///   T = comm_1 + sum_i max(compute_i, comm_{i+1})   (comm_{k+1} = 0).
-  /// Falls back to total_seconds() when no per-part times were recorded.
-  /// Bounded below by both total comm and total compute, and above by
-  /// total_seconds().
-  double total_seconds_overlapped() const;
-
-  /// Fraction of the serial total spent communicating, in [0, 1].
-  double comm_ratio() const;
 };
 
-/// Configuration of a distributed run (formerly nested as
-/// DistributedHiSvSim::Options, which remains an alias).
+/// Compile-time configuration of a distributed run.
 struct DistOptions {
   /// p: the run uses 2^p virtual ranks; each shard holds 2^(n-p)
-  /// amplitudes. Must match the DistState passed to run().
+  /// amplitudes. Must match the DistState the plan executes on.
   unsigned process_qubits = 0;
   /// First-level partitioning configuration. A limit of 0 (or one
   /// larger than n - p) is clamped to the local qubit count.
@@ -97,9 +75,6 @@ struct DistOptions {
   /// Nonzero enables a second, cache-sized partitioning level inside
   /// every part (paper Sec. IV multi-level).
   unsigned level2_limit = 0;
-  NetworkModel net;
-  /// Exchange backend (not owned). nullptr = serial_backend().
-  CommBackend* backend = nullptr;
 };
 
 /// Compiled form of one distributed run: everything that does not depend
@@ -157,17 +132,25 @@ struct DistPlan {
 /// tests corrupt a copied plan's schedule and assert the abort.
 void validate_plan(const DistPlan& plan);
 
-/// Builds the execution plan for `c` under `opt` (opt.net / opt.backend are
-/// execution-time concerns and ignored here). `initial` is the layout the
-/// target state will carry when execution starts; nullptr = identity.
-/// Throws if an arity-2 gate exceeds the local qubit count.
+/// Compiles the paper's distributed hierarchical simulator (Sec. V) for
+/// `c` under `opt`: partition the circuit so every part fits in one rank's
+/// shard, and plan per part the redistribution that makes its qubits local
+/// on every rank — at most one collective exchange per part, where the
+/// IQS-style baseline pays one pairwise exchange per gate that mixes a
+/// process qubit. `initial` is the layout the target state will carry
+/// when execution starts; nullptr = identity. Throws if an arity-2 gate
+/// exceeds the local qubit count.
 DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
                       const RankLayout* initial = nullptr);
 
 /// Runs a compiled plan on `state` (whose layout must equal
 /// plan.initial_layout). Repeatable: only amplitudes move; no partitioning
-/// or layout planning happens here. The report's parts/partition_seconds
-/// are copied from the plan so existing consumers see unchanged totals.
+/// or layout planning happens here. Per step, the exchange runs through
+/// `backend` (nullptr = serial_backend()) and is charged against `net`;
+/// then every rank applies the step's slot-local gates to its own shard,
+/// as a real MPI rank would between exchanges. With an async backend
+/// (ThreadedBackend) a rank starts as soon as its shard has arrived: the
+/// comm/compute overlap of Sec. V-C, measured rather than modeled.
 ///
 /// `param_values` is the binding context for a parameterized plan (values
 /// indexed by the source circuit's param ids, as produced by
@@ -194,38 +177,5 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
                            std::span<const double> param_values = {},
                            std::span<const Gate> noise_ops = {},
                            const sv::KernelOps* kernels = nullptr);
-
-/// The paper's distributed hierarchical simulator (Sec. V), executed on
-/// simulated ranks: partition the circuit so every part fits in one
-/// rank's shard, then per part (1) redistribute amplitudes so the part's
-/// qubits are local on every rank — at most one collective exchange per
-/// part — and (2) apply the part's gates shard-locally with qubits
-/// remapped through the layout. This contrasts with the IQS-style
-/// baseline, which keeps a fixed layout and pays one pairwise exchange
-/// per gate that mixes a process qubit.
-///
-/// The rank/local split follows the Fig. 3 convention documented on
-/// RankLayout: after redistribute(), every part qubit occupies a slot
-/// below l = n - p, so each gate becomes block-diagonal over ranks and
-/// each simulated rank applies it to its own shard independently —
-/// exactly the computation a real MPI rank would perform between
-/// exchanges.
-///
-/// The exchange runs through a pluggable CommBackend: with an async
-/// backend (ThreadedBackend) each rank starts applying gates as soon as
-/// its shard has arrived, while later shards are still moving — the
-/// comm/compute overlap of Sec. V-C, measured rather than modeled.
-class DistributedHiSvSim {
- public:
-  using Options = DistOptions;
-
-  /// Runs `c` on `state` (which may carry any layout; it is redistributed
-  /// as needed). Throws if a gate's arity exceeds the local qubit count —
-  /// no valid single-exchange-per-part schedule exists then. Equivalent to
-  /// compile_plan() followed by execute_plan(); callers that execute a
-  /// circuit more than once should hold the plan instead.
-  DistRunReport run(const Circuit& c, const Options& opt,
-                    DistState& state) const;
-};
 
 }  // namespace hisim::dist

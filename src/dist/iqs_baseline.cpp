@@ -72,7 +72,6 @@ IqsRunReport IqsBaselineSimulator::run(const Circuit& c, DistState& state,
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
   IqsRunReport rep;
-  rep.ranks = v;
   Stopwatch compute;
 
   std::int64_t gate_index = 0;

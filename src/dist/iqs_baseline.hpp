@@ -7,21 +7,11 @@
 
 namespace hisim::dist {
 
-/// Accounting of one IQS-baseline run (same comm model as DistRunReport,
+/// What one IQS-baseline run measures (same comm model as DistRunReport,
 /// but per-gate exchanges instead of per-part redistributions).
 struct IqsRunReport {
-  unsigned ranks = 0;
   double compute_seconds = 0.0;
   CommStats comm;
-
-  double total_seconds() const {
-    return compute_seconds + comm.modeled_max_seconds;
-  }
-  /// Fraction of the total spent communicating, in [0, 1].
-  double comm_ratio() const {
-    const double total = total_seconds();
-    return total > 0.0 ? comm.modeled_max_seconds / total : 0.0;
-  }
 };
 
 /// Intel-QS-style distributed baseline (the paper's Fig. 7/8 comparison
@@ -40,8 +30,8 @@ class IqsBaselineSimulator {
  public:
   /// Runs `c` on `state`, which must carry the identity layout (throws
   /// otherwise — this baseline never relayouts). The layout is unchanged
-  /// on return. Pass the same `net` given to DistributedHiSvSim::Options
-  /// when comparing the two on a non-default interconnect. Rank-local
+  /// on return. Pass the same `net` given to dist::execute_plan when
+  /// comparing the two on a non-default interconnect. Rank-local
   /// work and the pairwise exchange groups (which touch disjoint shard
   /// sets) execute through `backend` (nullptr = serial_backend()); the
   /// resulting state and CommStats are backend-independent. `kernels`

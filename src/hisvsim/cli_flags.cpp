@@ -352,8 +352,7 @@ Target effective_target(const Flags& f) {
                                   << dist::backend_kind_name(f.backend)
                                   << " (drop one of the two)");
     }
-    HISIM_CHECK_MSG(f.level2 == 0 || f.target == Target::Multilevel ||
-                        f.target == Target::DistributedSerial ||
+    HISIM_CHECK_MSG(f.level2 == 0 || f.target == Target::DistributedSerial ||
                         f.target == Target::DistributedThreaded,
                     "--level2 has no effect with --target="
                         << target_name(f.target));
@@ -361,8 +360,10 @@ Target effective_target(const Flags& f) {
   }
   HISIM_CHECK_MSG(!f.has_backend || f.ranks_p > 0,
                   "--backend requires --ranks=R (or a distributed --target)");
+  HISIM_CHECK_MSG(f.level2 == 0 || f.ranks_p > 0,
+                  "--level2 requires --ranks=R: only the distributed targets "
+                  "run a second partitioning level");
   if (f.ranks_p > 0) return target_for_backend(f.backend);
-  if (f.level2 > 0) return Target::Multilevel;
   return Target::Hierarchical;
 }
 

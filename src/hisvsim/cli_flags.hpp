@@ -50,7 +50,7 @@ struct Flags {
   dist::BackendKind backend = dist::BackendKind::Serial;
   bool has_backend = false;  // --backend= given explicitly
   /// Explicit --target= wins; otherwise derived (see effective_target).
-  /// A target that contradicts --backend/--level2 is rejected.
+  /// A target that contradicts --ranks/--backend/--level2 is rejected.
   bool has_target = false;
   Target target = Target::Hierarchical;
   /// Fixed parameter values from repeated --bind name=value flags.
@@ -94,9 +94,10 @@ std::vector<ParamBinding> sweep_points(const Flags& f);
 
 /// The target a `hisim run` uses: the explicit --target if given, else
 /// derived from the other flags — distributed-serial/-threaded (per
-/// --backend) when --ranks is set, multilevel when --level2 is set,
-/// hierarchical otherwise. Throws when an explicit target contradicts the
-/// flags it needs (e.g. a distributed target without --ranks).
+/// --backend) when --ranks is set, hierarchical otherwise. Throws when a
+/// flag has no effect on the target (--backend or --level2 without a
+/// distributed one) or an explicit target lacks a flag it needs (e.g. a
+/// distributed target without --ranks).
 Target effective_target(const Flags& f);
 
 /// The noise model described by the --noise flags (empty when none).

@@ -16,7 +16,6 @@
 #include "dist/iqs_baseline.hpp"
 #include "hisvsim/plan_impl.hpp"
 #include "noise/trajectory.hpp"
-#include "partition/multilevel.hpp"
 #include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
 
@@ -26,7 +25,6 @@ const char* target_name(Target t) {
   switch (t) {
     case Target::Flat: return "flat";
     case Target::Hierarchical: return "hierarchical";
-    case Target::Multilevel: return "multilevel";
     case Target::DistributedSerial: return "distributed-serial";
     case Target::DistributedThreaded: return "distributed-threaded";
     case Target::IqsBaseline: return "iqs-baseline";
@@ -35,13 +33,13 @@ const char* target_name(Target t) {
 }
 
 Target parse_target(const std::string& name) {
-  for (Target t : {Target::Flat, Target::Hierarchical, Target::Multilevel,
+  for (Target t : {Target::Flat, Target::Hierarchical,
                    Target::DistributedSerial, Target::DistributedThreaded,
                    Target::IqsBaseline})
     if (name == target_name(t)) return t;
   throw Error("unknown target '" + name +
-              "' (expected flat, hierarchical, multilevel, "
-              "distributed-serial, distributed-threaded, iqs-baseline)");
+              "' (expected flat, hierarchical, distributed-serial, "
+              "distributed-threaded, iqs-baseline)");
 }
 
 bool target_is_distributed(Target t) {
@@ -334,6 +332,14 @@ ExecutionPlan Engine::compile(const Circuit& c, const Options& opt) {
 }
 
 ExecutionPlan Engine::compile(const Circuit& c) const {
+  // Only the distributed-serial/-threaded executor runs a second level;
+  // any other target would drop the limit without notice.
+  HISIM_CHECK_MSG(opt_.level2_limit == 0 ||
+                      opt_.target == Target::DistributedSerial ||
+                      opt_.target == Target::DistributedThreaded,
+                  "level2_limit applies only to the distributed-serial and "
+                  "distributed-threaded targets (target is "
+                      << target_name(opt_.target) << ")");
   // Options::trace starts (or restarts) the collection window here so
   // one session covers this compile and every execute that follows.
   if (opt_.trace && !trace::TraceSession::active())
@@ -393,40 +399,17 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       break;
 
     case Target::Hierarchical: {
-      impl->effective_limit = effective_limit(opt_, n);
       const dag::CircuitDag dag = [&] {
         trace::TraceSpan span("dag.build", "engine");
         return dag::CircuitDag(*source);
       }();
       partition::PartitionOptions po;
       po.strategy = opt_.strategy;
-      po.limit = impl->effective_limit;
+      po.limit = effective_limit(opt_, n);
       po.seed = opt_.seed;
       impl->single = partition::make_partition(dag, po);
       impl->parts = impl->single.num_parts();
       impl->partition_seconds = impl->single.partition_seconds;
-      break;
-    }
-
-    case Target::Multilevel: {
-      impl->effective_limit = effective_limit(opt_, n);
-      impl->effective_level2 =
-          opt_.level2_limit == 0
-              ? std::max(2u, impl->effective_limit / 2)
-              : std::min(opt_.level2_limit, impl->effective_limit);
-      const dag::CircuitDag dag = [&] {
-        trace::TraceSpan span("dag.build", "engine");
-        return dag::CircuitDag(*source);
-      }();
-      partition::PartitionOptions po;
-      po.strategy = opt_.strategy;
-      po.limit = impl->effective_limit;
-      po.seed = opt_.seed;
-      impl->two = partition::partition_two_level(dag, po,
-                                                 impl->effective_level2);
-      impl->parts = impl->two.level1.num_parts();
-      impl->inner_parts = impl->two.total_inner_parts();
-      impl->partition_seconds = impl->two.level1.partition_seconds;
       break;
     }
 
@@ -519,7 +502,7 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   // layouts, exchange schedule) is shared untouched.
   const bool whole_target =
       opt.target == Target::Flat || opt.target == Target::Hierarchical ||
-      opt.target == Target::Multilevel || opt.target == Target::IqsBaseline;
+      opt.target == Target::IqsBaseline;
   const bool bind_whole = !plan.param_names.empty() && whole_target;
   const bool noise_whole =
       whole_target && !noise_ops.empty() && !plan.noise.slots.empty();
@@ -577,14 +560,9 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
         r.apply_seconds = t.seconds();
         break;
       }
-      case Target::Hierarchical:
-      case Target::Multilevel: {
-        const sv::HierarchicalStats stats =
-            opt.target == Target::Hierarchical
-                ? sv::HierarchicalSimulator().run(c, plan.single, state,
-                                                  plan.kernels)
-                : sv::HierarchicalSimulator().run(c, plan.two, state, 0,
-                                                  plan.kernels);
+      case Target::Hierarchical: {
+        const sv::HierarchicalStats stats = sv::HierarchicalSimulator().run(
+            c, plan.single, state, plan.kernels);
         r.gather_seconds = stats.gather_seconds;
         r.apply_seconds = stats.execute_seconds;
         r.scatter_seconds = stats.scatter_seconds;

@@ -22,7 +22,7 @@
 ///
 /// The paper's core claim is that partitioning cost is *amortized* over
 /// execution. This header is that claim as an API: Engine::compile() pays
-/// the full compile cost — multilevel partitioning, wide-gate lowering,
+/// the full compile cost — partitioning, wide-gate lowering,
 /// rank-layout planning, the exchange schedule — exactly once and returns
 /// an immutable ExecutionPlan; ExecutionPlan::execute() runs it as many
 /// times as the workload needs (shots, QAOA parameter points, concurrent
@@ -44,10 +44,8 @@ namespace hisim {
 enum class Target {
   /// Reference flat simulator: every gate applied to the full vector.
   Flat,
-  /// Single-level gather-execute-scatter over a partitioning (Alg. 1).
+  /// Gather-execute-scatter over a partitioning (Alg. 1).
   Hierarchical,
-  /// Two-level partitioning: node-sized parts, cache-sized inner parts.
-  Multilevel,
   /// Per-part redistribution executor with the synchronous exchange
   /// backend (reference; deterministic timing).
   DistributedSerial,
@@ -59,15 +57,15 @@ enum class Target {
   IqsBaseline,
 };
 
-/// "flat" | "hierarchical" | "multilevel" | "distributed-serial" |
-/// "distributed-threaded" | "iqs-baseline".
+/// "flat" | "hierarchical" | "distributed-serial" | "distributed-threaded"
+/// | "iqs-baseline".
 const char* target_name(Target t);
 /// Inverse of target_name(); throws hisim::Error on anything else.
 Target parse_target(const std::string& name);
 /// True for the three sharded-state targets.
 bool target_is_distributed(Target t);
 /// The distributed target that runs on the given exchange backend — the
-/// one mapping shared by the CLI, the legacy facade, and the benches.
+/// one mapping shared by the CLI and the benches.
 Target target_for_backend(dist::BackendKind kind);
 
 /// Compile-time configuration: everything the plan depends on.
@@ -78,9 +76,10 @@ struct Options {
   /// otherwise sv::kInnerBudgetQubits (21 qubits ~ 32 MiB) capped at the
   /// circuit width.
   unsigned limit = 0;
-  /// Second-level (cache) limit for Multilevel and the distributed
-  /// targets' inner level. 0 = auto for Target::Multilevel (half the
-  /// effective limit, at least 2), off for the distributed targets.
+  /// Second-level (cache) limit of the distributed-serial/-threaded
+  /// targets: each part is re-partitioned at this limit and runs its
+  /// inner parts shard-locally (paper Sec. IV). 0 = off. Nonzero on any
+  /// other target throws at compile.
   unsigned level2_limit = 0;
   /// Number of process ("rank") qubits; 2^p simulated ranks. Required
   /// (> 0) for the distributed targets, ignored otherwise.

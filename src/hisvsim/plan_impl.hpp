@@ -8,7 +8,7 @@
 #include "dist/hisvsim_dist.hpp"
 #include "hisvsim/engine.hpp"
 #include "noise/trajectory.hpp"
-#include "partition/multilevel.hpp"
+#include "partition/partition.hpp"
 #include "sv/kernel_dispatch.hpp"
 
 /// Internal: the compiled-plan representation shared by engine.cpp (which
@@ -48,8 +48,6 @@ struct PlanImpl {
   /// thread-safe and a forced-but-unavailable tier fails at compile
   /// instead of mid-execution.
   const sv::KernelOps* kernels = nullptr;
-  unsigned effective_limit = 0;
-  unsigned effective_level2 = 0;
   /// True when every compiled gate is norm-preserving (all kinds are
   /// unitary by construction; Unitary-kind matrices are checked), so an
   /// ideal execution must preserve the initial state's norm. Computed —
@@ -65,9 +63,8 @@ struct PlanImpl {
   /// merged into each execution's Result::metrics.
   std::map<std::string, double> compile_metrics;
 
-  partition::Partitioning single;       // Target::Hierarchical
-  partition::TwoLevelPartitioning two;  // Target::Multilevel
-  dist::DistPlan dplan;                 // Target::Distributed*
+  partition::Partitioning single;  // Target::Hierarchical
+  dist::DistPlan dplan;            // Target::Distributed*
 
   const Circuit& executed_circuit() const {
     return target_is_distributed(opt.target) &&

@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "dag/circuit_dag.hpp"
 #include "hisvsim/plan_impl.hpp"
-#include "partition/multilevel.hpp"
 
 /// ExecutionPlan::validate() — the single-node half of the checked-build
 /// layer (common/check.hpp; the distributed half lives in
@@ -73,25 +72,6 @@ void check_target(const PlanImpl& p) {
       HISIM_INVARIANT(p.parts == p.single.num_parts(),
                       "plan reports " << p.parts << " parts, partitioning has "
                                       << p.single.num_parts());
-      break;
-    }
-    case Target::Multilevel: {
-      const dag::CircuitDag dag(c);
-      check_partitioning(dag, p.two.level1, "multilevel level-1");
-      HISIM_INVARIANT(p.two.level2.size() == p.two.level1.parts.size(),
-                      "level-2 table has " << p.two.level2.size()
-                                           << " entries for "
-                                           << p.two.level1.parts.size()
-                                           << " level-1 parts");
-      for (std::size_t i = 0; i < p.two.level2.size(); ++i) {
-        const Circuit sub =
-            partition::part_subcircuit(c, p.two.level1.parts[i]);
-        const dag::CircuitDag sdag(sub);
-        check_partitioning(sdag, p.two.level2[i], "multilevel level-2");
-      }
-      HISIM_INVARIANT(p.parts == p.two.level1.num_parts() &&
-                          p.inner_parts == p.two.total_inner_parts(),
-                      "multilevel part counts out of sync with partitioning");
       break;
     }
     case Target::DistributedSerial:

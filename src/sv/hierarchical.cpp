@@ -185,87 +185,6 @@ HierarchicalStats HierarchicalSimulator::run(
   return stats;
 }
 
-HierarchicalStats HierarchicalSimulator::run(
-    const Circuit& c, const partition::TwoLevelPartitioning& parts,
-    StateVector& state, unsigned pad_to, const KernelOps* ops) const {
-  HISIM_CHECK(state.num_qubits() == c.num_qubits());
-  const unsigned n = c.num_qubits();
-  HierarchicalStats stats;
-
-  for (std::size_t pi = 0; pi < parts.level1.num_parts(); ++pi) {
-    trace::TraceSpan part_span("part", "sv");
-    part_span.arg("index", static_cast<std::int64_t>(pi));
-    const partition::Part& p1 = parts.level1.parts[pi];
-    const unsigned w1 = p1.working_set();
-
-    // Remap the part's gates onto level-1 inner slots once.
-    std::vector<Qubit> slot1(n, 0);
-    for (unsigned j = 0; j < w1; ++j) slot1[p1.qubits[j]] = j;
-    Circuit inner_circuit(w1);
-    for (const std::string& p : c.param_names()) inner_circuit.param(p);
-    for (std::size_t gi : p1.gates) {
-      Gate g = c.gate(gi);
-      for (Qubit& q : g.qubits) q = slot1[q];
-      inner_circuit.add(std::move(g));
-    }
-    // Level-2 parts expressed on level-1 slots, optionally padded with
-    // parent qubits for spatial locality (paper Sec. IV, multi-level).
-    const partition::Partitioning& l2 = parts.level2[pi];
-    struct InnerPart {
-      std::vector<std::size_t> gates;  // indices into inner_circuit
-      std::vector<Qubit> qubits;       // level-1 slots, sorted
-    };
-    std::vector<InnerPart> inner_parts;
-    for (const partition::Part& p2 : l2.parts) {
-      InnerPart ip;
-      ip.gates = p2.gates;  // local indices == inner_circuit indices
-      for (Qubit q : p2.qubits) ip.qubits.push_back(slot1[q]);
-      std::sort(ip.qubits.begin(), ip.qubits.end());
-      if (pad_to > 0) {
-        const unsigned target = std::min<unsigned>(pad_to, w1);
-        for (Qubit s = 0; s < w1 && ip.qubits.size() < target; ++s) {
-          if (!std::binary_search(ip.qubits.begin(), ip.qubits.end(), s))
-            ip.qubits.insert(
-                std::lower_bound(ip.qubits.begin(), ip.qubits.end(), s), s);
-        }
-      }
-      inner_parts.push_back(std::move(ip));
-    }
-
-    // Gather-execute-scatter of the level-1 part, one coset at a time with
-    // split copies; the execute step is itself hierarchical over the
-    // level-2 parts, whose run_part calls pick their own path.
-    const Cosets cosets(p1.qubits, n);
-    StateVector inner(w1);
-    Stopwatch gather_sw, exec_sw, scatter_sw;
-    HierarchicalStats inner_stats;
-    for (Index m = 0; m < cosets.count(); ++m) {
-      gather_sw.start();
-      cosets.gather(state.data(), m, inner.data());
-      gather_sw.stop();
-      exec_sw.start();
-      for (const InnerPart& ip : inner_parts)
-        run_part(inner_circuit, ip.gates, ip.qubits, inner, inner_stats,
-                 ops);
-      exec_sw.stop();
-      scatter_sw.start();
-      cosets.scatter(state.data(), m, inner.data());
-      scatter_sw.stop();
-    }
-
-    stats.parts += 1;
-    stats.inner_parts += inner_parts.size();
-    stats.gather_seconds += gather_sw.seconds();
-    stats.execute_seconds += exec_sw.seconds();
-    stats.scatter_seconds += scatter_sw.seconds();
-    stats.outer_bytes_moved += 2 * state.bytes();
-    stats.inner_bytes_touched += inner_stats.outer_bytes_moved +
-                                 inner_stats.inner_bytes_touched;
-    stats.flops += inner_stats.flops;
-  }
-  return stats;
-}
-
 StateVector HierarchicalSimulator::simulate(
     const Circuit& c, const partition::Partitioning& parts,
     HierarchicalStats* stats) const {

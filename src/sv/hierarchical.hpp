@@ -1,6 +1,5 @@
 #pragma once
 
-#include "partition/multilevel.hpp"
 #include "partition/partition.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
@@ -32,7 +31,6 @@ bool fans_out(unsigned part_width, Index cosets, unsigned threads);
 /// total_seconds() never exceeds the run's wall time.
 struct HierarchicalStats {
   std::size_t parts = 0;
-  std::size_t inner_parts = 0;      // second-level parts (two-level runs)
   double gather_seconds = 0.0;
   double execute_seconds = 0.0;
   double scatter_seconds = 0.0;
@@ -51,23 +49,12 @@ struct HierarchicalStats {
 /// qubits remapped to inner slots), and scatter the results back.
 class HierarchicalSimulator {
  public:
-  /// Single-level run. `parts` must be a valid partitioning of `c`.
-  /// `ops` selects the kernel tier for the inner applies (nullptr = the
-  /// Auto-resolved default).
+  /// `parts` must be a valid partitioning of `c`. `ops` selects the
+  /// kernel tier for the inner applies (nullptr = the Auto-resolved
+  /// default).
   HierarchicalStats run(const Circuit& c,
                         const partition::Partitioning& parts,
                         StateVector& state,
-                        const KernelOps* ops = nullptr) const;
-
-  /// Two-level run (Sec. IV multi-level): level-1 parts are gathered from
-  /// the outer vector; each level-2 part is gathered from the level-1
-  /// inner vector into a smaller cache-resident vector. `pad_to`
-  /// implements the paper's padding rule: inner parts with fewer qubits
-  /// than `pad_to` borrow qubits from the parent part for spatial
-  /// locality (0 disables).
-  HierarchicalStats run(const Circuit& c,
-                        const partition::TwoLevelPartitioning& parts,
-                        StateVector& state, unsigned pad_to = 0,
                         const KernelOps* ops = nullptr) const;
 
   StateVector simulate(const Circuit& c,
@@ -80,8 +67,9 @@ class HierarchicalSimulator {
 /// Bit-identical on every path and thread count: each amplitude sees the
 /// same gate sequence and the copies are exact. `gates` are indices into
 /// `c`; `part_qubits` must be the sorted working set of those gates.
-/// Exposed for reuse by the two-level runner and the distributed executor;
-/// called from inside a pool region, it runs inline with one inner vector.
+/// Exposed for reuse by the distributed executor's second level (each
+/// shard runs its step's inner parts through it); called from inside a
+/// pool region, it runs inline with one inner vector.
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
               std::span<const Qubit> part_qubits, StateVector& outer,
               HierarchicalStats& stats, const KernelOps* ops = nullptr);

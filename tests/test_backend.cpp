@@ -122,20 +122,19 @@ TEST_P(BackendCircuitParity, StatesAndStatsMatchSerial) {
   const auto& tc = GetParam();
   const Circuit c = circuits::make_by_name(tc.name, tc.qubits);
 
-  auto run_with = [&](CommBackend& backend, DistState& state) {
-    DistributedHiSvSim::Options opt;
-    opt.process_qubits = tc.p;
-    opt.level2_limit = tc.level2;
-    opt.backend = &backend;
-    return DistributedHiSvSim().run(c, opt, state);
-  };
+  DistOptions opt;
+  opt.process_qubits = tc.p;
+  opt.level2_limit = tc.level2;
+  const DistPlan plan = compile_plan(c, opt);
   DistState serial_st(tc.qubits, tc.p), threaded_st(tc.qubits, tc.p);
-  const DistRunReport serial_rep = run_with(serial_backend(), serial_st);
-  const DistRunReport threaded_rep = run_with(threaded_backend(), threaded_st);
+  const DistRunReport serial_rep =
+      execute_plan(plan, serial_st, {}, &serial_backend());
+  const DistRunReport threaded_rep =
+      execute_plan(plan, threaded_st, {}, &threaded_backend());
 
   expect_bit_identical(serial_st, threaded_st);
   EXPECT_EQ(serial_rep.comm, threaded_rep.comm);
-  EXPECT_EQ(serial_rep.parts, threaded_rep.parts);
+  EXPECT_EQ(serial_rep.part_times.size(), threaded_rep.part_times.size());
 
   // Both stay correct against the flat reference.
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
@@ -172,10 +171,10 @@ TEST(Backend, MeasuredTimesAreReportedAndBounded) {
   const Circuit c = circuits::qft(9);
   for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
     DistState state(9, 2);
-    DistributedHiSvSim::Options opt;
+    DistOptions opt;
     opt.process_qubits = 2;
-    opt.backend = &backend_for(kind);
-    const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+    const DistRunReport rep =
+        execute_plan(compile_plan(c, opt), state, {}, &backend_for(kind));
 
     EXPECT_GT(rep.measured_wall_seconds, 0.0);
     EXPECT_GT(rep.measured_comm_seconds, 0.0);  // qft relayouts at least once

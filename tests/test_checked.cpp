@@ -163,6 +163,8 @@ TEST_P(CheckedPlans, CompiledPlansValidateAndExecute) {
   opt.target = GetParam();
   opt.limit = 5;
   if (target_is_distributed(opt.target)) opt.process_qubits = 2;
+  // The threaded target also carries second-level partitions to validate.
+  if (opt.target == Target::DistributedThreaded) opt.level2_limit = 3;
   const ExecutionPlan plan = Engine::compile(c, opt);
   plan.validate();  // explicit: exercised in every build, not only CHECKED
 
@@ -173,7 +175,7 @@ TEST_P(CheckedPlans, CompiledPlansValidateAndExecute) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllTargets, CheckedPlans,
-    ::testing::Values(Target::Flat, Target::Hierarchical, Target::Multilevel,
+    ::testing::Values(Target::Flat, Target::Hierarchical,
                       Target::DistributedSerial, Target::DistributedThreaded,
                       Target::IqsBaseline),
     [](const auto& ti) {

@@ -83,8 +83,8 @@ TEST(CliFlags, TargetDerivation) {
             Target::DistributedSerial);
   EXPECT_EQ(effective_target(parse_flags({"--ranks=4", "--backend=threaded"})),
             Target::DistributedThreaded);
-  EXPECT_EQ(effective_target(parse_flags({"--level2=5"})),
-            Target::Multilevel);
+  EXPECT_EQ(effective_target(parse_flags({"--ranks=4", "--level2=5"})),
+            Target::DistributedSerial);
   EXPECT_EQ(effective_target(parse_flags({"--target=flat"})), Target::Flat);
   EXPECT_EQ(effective_target(parse_flags({"--target=iqs-baseline",
                                           "--ranks=4"})),
@@ -123,13 +123,20 @@ TEST(CliFlags, RejectsContradictoryTargetFlags) {
       Error);
   // Flags that the chosen target ignores are errors, not no-ops.
   EXPECT_THROW(
-      effective_target(parse_flags({"--target=multilevel", "--ranks=8"})),
+      effective_target(parse_flags({"--target=hierarchical", "--ranks=8"})),
       Error);
   EXPECT_THROW(
       effective_target(parse_flags(
           {"--target=iqs-baseline", "--ranks=4", "--backend=threaded"})),
       Error);
+  EXPECT_THROW(
+      effective_target(parse_flags(
+          {"--target=iqs-baseline", "--ranks=4", "--level2=5"})),
+      Error);
   EXPECT_THROW(effective_target(parse_flags({"--backend=threaded"})), Error);
+  // Only the distributed targets run a second level, so --level2 needs
+  // --ranks.
+  EXPECT_THROW(effective_target(parse_flags({"--level2=5"})), Error);
 }
 
 TEST(CliFlags, OptLevelParsesAndFlowsToOptions) {
@@ -306,10 +313,21 @@ TEST(CliFlags, NoiseRejectionsAreLoud) {
 }
 
 TEST(CliFlags, TargetNameRoundTrip) {
-  for (Target t : {Target::Flat, Target::Hierarchical, Target::Multilevel,
+  for (Target t : {Target::Flat, Target::Hierarchical,
                    Target::DistributedSerial, Target::DistributedThreaded,
                    Target::IqsBaseline})
     EXPECT_EQ(parse_target(target_name(t)), t);
+  // "multilevel" is not a target name; the error lists the valid ones.
+  try {
+    parse_flags({"--target=multilevel"});
+    ADD_FAILURE() << "--target=multilevel parsed";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    for (Target t : {Target::Flat, Target::Hierarchical,
+                     Target::DistributedSerial, Target::DistributedThreaded,
+                     Target::IqsBaseline})
+      EXPECT_NE(msg.find(target_name(t)), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

@@ -63,17 +63,20 @@ class DistributedMatchesFlat : public ::testing::TestWithParam<DistCase> {};
 TEST_P(DistributedMatchesFlat, SameAmplitudes) {
   const DistCase& tc = GetParam();
   const Circuit c = circuits::make_by_name(tc.name, tc.qubits);
-  DistState state(tc.qubits, tc.p);
-  DistributedHiSvSim::Options opt;
+  DistOptions opt;
   opt.process_qubits = tc.p;
   opt.part.strategy = tc.strategy;
   opt.level2_limit = tc.level2;
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+  const DistPlan plan = compile_plan(c, opt);
+  DistState state(tc.qubits, tc.p);
+  execute_plan(plan, state, {});
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
   EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10)
       << tc.name << " p=" << tc.p;
-  EXPECT_GT(rep.parts, 0u);
-  EXPECT_EQ(rep.ranks, 1u << tc.p);
+  EXPECT_GT(plan.num_parts(), 0u);
+  if (tc.level2 != 0) {
+    EXPECT_GE(plan.inner_parts, plan.num_parts());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -99,28 +102,30 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Distributed, AtMostOneRedistributionPerPart) {
   const Circuit c = circuits::cat_state(8);
-  DistState state(8, 2);
-  DistributedHiSvSim::Options opt;
+  DistOptions opt;
   opt.process_qubits = 2;
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+  const DistPlan plan = compile_plan(c, opt);
+  DistState state(8, 2);
+  const DistRunReport rep = execute_plan(plan, state, {});
   // A part whose qubits are already local (the first one under the
   // identity layout) costs no exchange, so exchanges <= parts.
-  EXPECT_GT(rep.parts, 1u);
-  EXPECT_LE(rep.comm.exchanges, rep.parts);
+  EXPECT_GT(plan.num_parts(), 1u);
+  EXPECT_LE(rep.comm.exchanges, plan.num_parts());
   EXPECT_GE(rep.comm.exchanges, 1u);
 }
 
 TEST(Distributed, CommDecreasesWithFewerParts) {
   const Circuit c = circuits::ising(9, 3, 5);
-  DistributedHiSvSim sim;
   DistState s1(9, 2), s2(9, 2);
-  DistributedHiSvSim::Options nat, dagp;
+  DistOptions nat, dagp;
   nat.process_qubits = dagp.process_qubits = 2;
   nat.part.strategy = partition::Strategy::Nat;
   dagp.part.strategy = partition::Strategy::DagP;
-  const auto rep_nat = sim.run(c, nat, s1);
-  const auto rep_dagp = sim.run(c, dagp, s2);
-  EXPECT_LE(rep_dagp.parts, rep_nat.parts);
+  const DistPlan plan_nat = compile_plan(c, nat);
+  const DistPlan plan_dagp = compile_plan(c, dagp);
+  const auto rep_nat = execute_plan(plan_nat, s1, {});
+  const auto rep_dagp = execute_plan(plan_dagp, s2, {});
+  EXPECT_LE(plan_dagp.num_parts(), plan_nat.num_parts());
   EXPECT_LE(rep_dagp.comm.exchanges, rep_nat.comm.exchanges);
 }
 
@@ -159,26 +164,14 @@ TEST(DistState, RedistributeWithExplicitBackendsAgree) {
 TEST(Distributed, ThreadedBackendMatchesFlatReference) {
   const Circuit c = circuits::qft(9);
   DistState state(9, 2);
-  DistributedHiSvSim::Options opt;
+  DistOptions opt;
   opt.process_qubits = 2;
-  opt.backend = &threaded_backend();
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+  const DistRunReport rep =
+      execute_plan(compile_plan(c, opt), state, {}, &threaded_backend());
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
   EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10);
   EXPECT_GT(rep.measured_wall_seconds, 0.0);
   EXPECT_GE(rep.measured_overlap_seconds, 0.0);
-}
-
-TEST(Distributed, ReportTotalsConsistent) {
-  const Circuit c = circuits::qft(8);
-  DistState state(8, 2);
-  DistributedHiSvSim::Options opt;
-  opt.process_qubits = 2;
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
-  EXPECT_NEAR(rep.total_seconds(),
-              rep.compute_seconds + rep.comm.modeled_max_seconds, 1e-12);
-  EXPECT_GE(rep.comm_ratio(), 0.0);
-  EXPECT_LE(rep.comm_ratio(), 1.0);
 }
 
 TEST(RunBits, CountsFixedLowSlotsUpToTheCap) {

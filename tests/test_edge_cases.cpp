@@ -6,9 +6,8 @@
 
 #include "circuits/generators.hpp"
 #include "common/error.hpp"
-#include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
-#include "hisvsim/hisvsim.hpp"
+#include "hisvsim/engine.hpp"
 #include "qasm/parser.hpp"
 #include "partition/exact.hpp"
 #include "sv/hierarchical.hpp"
@@ -24,24 +23,25 @@ TEST(EdgeCase, OneQubitCircuitAllPaths) {
   c.add(Gate::t(0));
   c.add(Gate::h(0));
   const auto ref = sv::FlatSimulator().simulate(c);
-  RunOptions opt;
+  Options opt;
   opt.limit = 1;
-  EXPECT_LT(HiSvSim(opt).simulate(c).max_abs_diff(ref), 1e-12);
+  EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-12);
 }
 
 TEST(EdgeCase, EmptyCircuitSimulates) {
   const Circuit c(4);
-  RunOptions opt;
+  Options opt;
   opt.limit = 2;
-  const auto s = HiSvSim(opt).simulate(c);
+  const auto s = Engine::compile(c, opt).execute().state;
   EXPECT_NEAR(std::abs(s[0] - 1.0), 0.0, 1e-15);
 }
 
 TEST(EdgeCase, EmptyCircuitDistributed) {
   const Circuit c(5);
-  RunOptions opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 2;
-  const auto s = HiSvSim(opt).simulate_distributed(c);
+  const auto s = Engine::compile(c, opt).execute().state;
   EXPECT_NEAR(std::abs(s[0] - 1.0), 0.0, 1e-15);
 }
 
@@ -96,11 +96,10 @@ TEST(EdgeCase, TwoLocalQubitsExtreme) {
   c.add(Gate::cx(0, 1));
   c.add(Gate::cx(1, 2));
   c.add(Gate::cx(2, 3));
-  dist::DistState state(4, 2);
-  dist::DistributedHiSvSim::Options opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 2;
-  dist::DistributedHiSvSim().run(c, opt, state);
-  EXPECT_LT(state.to_state_vector().max_abs_diff(
+  EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(
                 sv::FlatSimulator().simulate(c)),
             1e-10);
 }
@@ -109,10 +108,10 @@ TEST(EdgeCase, OneLocalQubitWithTwoQubitGatesRejected) {
   // l = 1 cannot hold a CX part; the runner must fail loudly, not wedge.
   Circuit c(4);
   c.add(Gate::cx(0, 1));
-  dist::DistState state(4, 3);
-  dist::DistributedHiSvSim::Options opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 3;
-  EXPECT_THROW(dist::DistributedHiSvSim().run(c, opt, state), Error);
+  EXPECT_THROW(Engine::compile(c, opt), Error);
 }
 
 TEST(EdgeCase, IqsAllGlobalGates) {

@@ -9,7 +9,6 @@
 #include "dag/circuit_dag.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
-#include "partition/multilevel.hpp"
 #include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
 
@@ -25,16 +24,17 @@ void expect_bit_identical(const sv::StateVector& a, const sv::StateVector& b,
   }
 }
 
-/// One Options instance per target, sized for a 10-qubit circuit.
+/// One Options instance per target, sized for a 10-qubit circuit. The
+/// threaded distributed target also runs a second partitioning level.
 std::vector<Options> all_target_options() {
   std::vector<Options> out;
-  for (Target t : {Target::Flat, Target::Hierarchical, Target::Multilevel,
+  for (Target t : {Target::Flat, Target::Hierarchical,
                    Target::DistributedSerial, Target::DistributedThreaded,
                    Target::IqsBaseline}) {
     Options o;
     o.target = t;
     o.limit = 5;
-    if (t == Target::Multilevel) o.level2_limit = 3;
+    if (t == Target::DistributedThreaded) o.level2_limit = 3;
     if (target_is_distributed(t)) o.process_qubits = 2;
     out.push_back(o);
   }
@@ -84,35 +84,26 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
                          "hierarchical");
   }
-  {  // Multilevel vs partition_two_level + HierarchicalSimulator.
-    Options o;
-    o.target = Target::Multilevel;
-    o.limit = 5;
-    o.level2_limit = 3;
-    const dag::CircuitDag dag(c);
-    partition::PartitionOptions po;
-    po.limit = 5;
-    const auto two = partition::partition_two_level(dag, po, 3);
-    sv::StateVector legacy(n);
-    sv::HierarchicalSimulator().run(c, two, legacy);
-    expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
-                         "multilevel");
-  }
-  for (Target t : {Target::DistributedSerial, Target::DistributedThreaded}) {
-    // Distributed vs DistributedHiSvSim::run on a fresh DistState.
-    Options o;
-    o.target = t;
-    o.process_qubits = 2;
-    dist::DistState state(n, 2);
-    dist::DistOptions dopt;
-    dopt.process_qubits = 2;
-    dopt.backend = t == Target::DistributedThreaded
-                       ? &dist::threaded_backend()
-                       : &dist::serial_backend();
-    dist::DistributedHiSvSim().run(c, dopt, state);
-    expect_bit_identical(Engine::compile(c, o).execute().state,
-                         state.to_state_vector(), target_name(t));
-  }
+  for (Target t : {Target::DistributedSerial, Target::DistributedThreaded})
+    for (unsigned level2 : {0u, 3u}) {
+      // Distributed vs compile_plan + execute_plan on a fresh DistState.
+      Options o;
+      o.target = t;
+      o.process_qubits = 2;
+      o.level2_limit = level2;
+      dist::DistOptions dopt;
+      dopt.process_qubits = 2;
+      dopt.level2_limit = level2;
+      dist::DistState state(n, 2);
+      dist::execute_plan(dist::compile_plan(c, dopt), state, {},
+                         t == Target::DistributedThreaded
+                             ? &dist::threaded_backend()
+                             : &dist::serial_backend());
+      expect_bit_identical(Engine::compile(c, o).execute().state,
+                           state.to_state_vector(),
+                           std::string(target_name(t)) + " level2 " +
+                               std::to_string(level2));
+    }
   {  // IQS baseline vs IqsBaselineSimulator.
     Options o;
     o.target = Target::IqsBaseline;
@@ -135,6 +126,8 @@ TEST(Engine, PartitionWorkOnlyAtCompile) {
     const std::uint64_t after_compile = partition::partition_invocations();
     if (o.target != Target::Flat && o.target != Target::IqsBaseline) {
       EXPECT_GT(after_compile, before) << target_name(o.target);
+      // A limit below the circuit width splits the circuit.
+      EXPECT_GT(plan.num_parts(), 1u) << target_name(o.target);
     }
 
     const Result r1 = plan.execute();
@@ -280,6 +273,19 @@ TEST(Engine, ValidatesOptions) {
   EXPECT_THROW(ExecutionPlan().execute(), Error);  // empty plan
   EXPECT_FALSE(ExecutionPlan().valid());
   EXPECT_THROW(parse_target("warp-drive"), Error);
+
+  // A second level runs only on the distributed-serial/-threaded targets;
+  // anywhere else the limit is rejected rather than silently dropped.
+  o.level2_limit = 3;
+  o.process_qubits = 2;
+  for (Target t : {Target::Flat, Target::Hierarchical, Target::IqsBaseline}) {
+    o.target = t;
+    EXPECT_THROW(Engine::compile(c, o), Error) << target_name(t);
+  }
+  for (Target t : {Target::DistributedSerial, Target::DistributedThreaded}) {
+    o.target = t;
+    EXPECT_NO_THROW(Engine::compile(c, o)) << target_name(t);
+  }
 }
 
 // Report-only executions skip the state (and, on sharded targets, the
@@ -306,17 +312,22 @@ TEST(Engine, ReportOnlyExecutionSkipsState) {
   EXPECT_EQ(rs.samples.size(), 4u);
 }
 
-// The multilevel target picks a sane cache level when none is given.
-TEST(Engine, MultilevelAutoLevel2) {
-  const Circuit c = circuits::qft(9);
-  Options o;
-  o.target = Target::Multilevel;
-  o.limit = 6;
-  const ExecutionPlan plan = Engine::compile(c, o);
-  EXPECT_GE(plan.num_inner_parts(), plan.num_parts());
-  EXPECT_LT(plan.execute().state.max_abs_diff(
-                sv::FlatSimulator().simulate(c)),
-            1e-10);
+// Result's derived totals: compute plus slowest-host comm on the sharded
+// targets, the gather/apply/scatter sum on the single-node ones.
+TEST(Engine, ReportTotalsConsistent) {
+  const Circuit c = circuits::qft(8);
+  for (const Options& o : all_target_options()) {
+    const Result r = Engine::compile(c, o).execute();
+    const double expected =
+        target_is_distributed(o.target)
+            ? r.compute_seconds + r.comm.modeled_max_seconds
+            : r.gather_seconds + r.apply_seconds + r.scatter_seconds;
+    EXPECT_NEAR(r.total_seconds(), expected, 1e-12) << target_name(o.target);
+    EXPECT_LE(r.total_seconds_overlapped(), r.total_seconds() + 1e-9)
+        << target_name(o.target);
+    EXPECT_GE(r.comm_ratio(), 0.0) << target_name(o.target);
+    EXPECT_LE(r.comm_ratio(), 1.0) << target_name(o.target);
+  }
 }
 
 }  // namespace

@@ -1,18 +1,18 @@
 // End-to-end integration: every benchmark family flows through the whole
 // stack — QASM round-trip, fusion, all three partitioners, single-node
-// hierarchical, two-level, distributed HiSVSIM, IQS baseline — and all
-// paths must agree with the flat reference on the final amplitudes.
+// hierarchical, distributed HiSVSIM with and without a second level, IQS
+// baseline — and all paths must agree with the flat reference on the final
+// amplitudes.
 
 #include <gtest/gtest.h>
 
 #include "circuit/fusion.hpp"
 #include "circuits/generators.hpp"
-#include "dist/hisvsim_dist.hpp"
-#include "dist/iqs_baseline.hpp"
-#include "hisvsim/hisvsim.hpp"
+#include "hisvsim/engine.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 #include "sv/observables.hpp"
+#include "sv/simulator.hpp"
 
 namespace hisim {
 namespace {
@@ -51,38 +51,36 @@ TEST_P(FullPipeline, AllPathsAgreeOnSuiteCircuit) {
   const unsigned limit = std::max(5u, max_arity);
   for (auto s : {partition::Strategy::Nat, partition::Strategy::Dfs,
                  partition::Strategy::DagP}) {
-    RunOptions opt;
+    Options opt;
     opt.strategy = s;
     opt.limit = limit;
-    RunReport rep;
-    const auto state = HiSvSim(opt).simulate(c, &rep);
-    EXPECT_LT(state.max_abs_diff(ref), 1e-9)
+    EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-9)
         << name << " " << partition::strategy_name(s);
-    EXPECT_GE(rep.parts, 1u);
   }
 
-  // 4. Two-level.
-  if (limit > 3 && max_arity <= 3) {
-    RunOptions opt;
-    opt.limit = limit;
-    opt.level2_limit = 3;
-    EXPECT_LT(HiSvSim(opt).simulate(c).max_abs_diff(ref), 1e-9)
-        << name << " two-level";
-  }
-
-  // 5. Distributed HiSVSIM + IQS baseline.
-  {
-    RunOptions opt;
+  // 4. Distributed HiSVSIM, one and two levels, + IQS baseline.
+  for (unsigned level2 : {0u, 3u}) {
+    if (level2 != 0 && max_arity > level2) continue;
+    Options opt;
+    opt.target = Target::DistributedSerial;
     opt.process_qubits = 2;
-    const auto state = HiSvSim(opt).simulate_distributed(c);
-    EXPECT_LT(state.max_abs_diff(ref), 1e-9) << name << " distributed";
-    dist::DistState iqs_state(n, 2);
-    dist::IqsBaselineSimulator().run(c, iqs_state);
-    EXPECT_LT(iqs_state.to_state_vector().max_abs_diff(ref), 1e-9)
+    opt.level2_limit = level2;
+    const Result r = Engine::compile(c, opt).execute();
+    EXPECT_LT(r.state.max_abs_diff(ref), 1e-9)
+        << name << " distributed, level2 " << level2;
+    if (level2 != 0) {
+      EXPECT_GE(r.inner_parts, r.parts) << name;
+    }
+  }
+  {
+    Options opt;
+    opt.target = Target::IqsBaseline;
+    opt.process_qubits = 2;
+    EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-9)
         << name << " iqs";
   }
 
-  // 6. Observables stay physical.
+  // 5. Observables stay physical.
   EXPECT_NEAR(ref.norm(), 1.0, 1e-9);
   for (Qubit q = 0; q < n; ++q) {
     sv::PauliString z;
@@ -105,27 +103,26 @@ TEST(Integration, FusionThenDistributedThenSampling) {
   // simulated cluster, then sample outcomes.
   const Circuit c = circuits::ising(10, 3, 21);
   const Circuit fused = fuse(c, {.max_qubits = 3, .keep_wide_gates = true});
-  dist::DistState state(10, 2);
-  dist::DistributedHiSvSim::Options opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 2;
-  const auto rep = dist::DistributedHiSvSim().run(fused, opt, state);
-  EXPECT_GT(rep.parts, 0u);
-  const auto sv_full = state.to_state_vector();
-  EXPECT_LT(sv_full.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
-  Rng rng(4);
-  const auto shots = sv::sample(sv_full, 200, rng);
-  EXPECT_EQ(shots.size(), 200u);
-  for (Index v : shots) EXPECT_LT(v, dim(10));
+  ExecOptions x;
+  x.shots = 200;
+  const Result r = Engine::compile(fused, opt).execute(x);
+  EXPECT_GT(r.parts, 0u);
+  EXPECT_LT(r.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
+  EXPECT_EQ(r.samples.size(), 200u);
+  for (Index v : r.samples) EXPECT_LT(v, dim(10));
 }
 
 TEST(Integration, OverlappedTimeReportedForSuite) {
   for (const char* name : {"bv", "ising", "qaoa"}) {
     const Circuit c = circuits::make_by_name(name, 10);
-    dist::DistState state(10, 2);
-    dist::DistributedHiSvSim::Options opt;
+    Options opt;
+    opt.target = Target::DistributedSerial;
     opt.process_qubits = 2;
-    const auto rep = dist::DistributedHiSvSim().run(c, opt, state);
-    EXPECT_LE(rep.total_seconds_overlapped(), rep.total_seconds() + 1e-9)
+    const Result r = Engine::compile(c, opt).execute();
+    EXPECT_LE(r.total_seconds_overlapped(), r.total_seconds() + 1e-9)
         << name;
   }
 }

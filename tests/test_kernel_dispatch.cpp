@@ -288,13 +288,13 @@ TEST(KernelDispatch, EngineTargetsAgreeAcrossTiers) {
   if (!sv::simd_kernels_available())
     GTEST_SKIP() << "only the scalar tier exists in this build/CPU";
   const Circuit c = circuits::qft(9);
-  for (Target t : {Target::Flat, Target::Hierarchical, Target::Multilevel,
+  for (Target t : {Target::Flat, Target::Hierarchical,
                    Target::DistributedSerial, Target::DistributedThreaded,
                    Target::IqsBaseline}) {
     Options o;
     o.target = t;
     o.limit = 5;
-    if (t == Target::Multilevel) o.level2_limit = 3;
+    if (t == Target::DistributedThreaded) o.level2_limit = 3;
     if (target_is_distributed(t)) o.process_qubits = 2;
 
     o.kernel_tier = sv::KernelTier::Scalar;

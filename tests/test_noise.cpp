@@ -39,13 +39,13 @@ void expect_bit_identical(const sv::StateVector& a, const sv::StateVector& b,
 /// One Options instance per target, sized for 9-qubit circuits.
 std::vector<Options> all_target_options() {
   std::vector<Options> out;
-  for (Target t : {Target::Flat, Target::Hierarchical, Target::Multilevel,
+  for (Target t : {Target::Flat, Target::Hierarchical,
                    Target::DistributedSerial, Target::DistributedThreaded,
                    Target::IqsBaseline}) {
     Options o;
     o.target = t;
     o.limit = 5;
-    if (t == Target::Multilevel) o.level2_limit = 3;
+    if (t == Target::DistributedThreaded) o.level2_limit = 3;
     if (target_is_distributed(t)) o.process_qubits = 2;
     out.push_back(o);
   }

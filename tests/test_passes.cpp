@@ -32,7 +32,6 @@ constexpr double kTwoPi = 6.283185307179586476925286766559;
 const Target kAllTargets[] = {
     Target::Flat,
     Target::Hierarchical,
-    Target::Multilevel,
     Target::DistributedSerial,
     Target::DistributedThreaded,
     Target::IqsBaseline,
@@ -399,7 +398,7 @@ TEST_P(DifferentialEquivalence, OptimizedPlansMatchUnoptimizedEverywhere) {
     Options o1;
     o1.target = t;
     o1.limit = 4;
-    if (t == Target::Multilevel) o1.level2_limit = 3;
+    if (t == Target::DistributedThreaded) o1.level2_limit = 3;
     if (target_is_distributed(t)) o1.process_qubits = p;
     Options o0 = o1;
     o0.opt_level = 0;

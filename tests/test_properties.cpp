@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dist/hisvsim_dist.hpp"
-#include "dist/iqs_baseline.hpp"
-#include "hisvsim/hisvsim.hpp"
+#include "hisvsim/engine.hpp"
 #include "partition/exact.hpp"
 #include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
@@ -47,20 +45,13 @@ TEST_P(RandomCircuits, AllPathsAgree) {
 
   // Distributed HiSVSIM and the IQS baseline must agree with flat too.
   const unsigned p = 1 + static_cast<unsigned>(rng.below(2));
-  {
-    dist::DistState state(n, p);
-    dist::DistributedHiSvSim::Options opt;
+  for (Target t : {Target::DistributedSerial, Target::IqsBaseline}) {
+    Options opt;
+    opt.target = t;
     opt.process_qubits = p;
-    opt.part.seed = seed;
-    dist::DistributedHiSvSim().run(c, opt, state);
-    EXPECT_LT(state.to_state_vector().max_abs_diff(ref), 1e-9)
-        << "dist seed " << seed;
-  }
-  {
-    dist::DistState state(n, p);
-    dist::IqsBaselineSimulator().run(c, state);
-    EXPECT_LT(state.to_state_vector().max_abs_diff(ref), 1e-9)
-        << "iqs seed " << seed;
+    opt.seed = seed;
+    EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-9)
+        << target_name(t) << " seed " << seed;
   }
 }
 
@@ -102,14 +93,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomPartitions,
 TEST(Properties, NormPreservedThroughEveryPath) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Circuit c = random_circuit(6, 40, seed);
-    RunOptions opt;
+    Options opt;
     opt.limit = 4;
-    const auto s1 = HiSvSim(opt).simulate(c);
-    EXPECT_NEAR(s1.norm(), 1.0, 1e-9);
-    RunOptions opt2;
+    EXPECT_NEAR(Engine::compile(c, opt).execute().state.norm(), 1.0, 1e-9);
+    Options opt2;
+    opt2.target = Target::DistributedSerial;
     opt2.process_qubits = 2;
-    const auto s2 = HiSvSim(opt2).simulate_distributed(c);
-    EXPECT_NEAR(s2.norm(), 1.0, 1e-9);
+    EXPECT_NEAR(Engine::compile(c, opt2).execute().state.norm(), 1.0, 1e-9);
   }
 }
 

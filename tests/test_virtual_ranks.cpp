@@ -72,9 +72,9 @@ TEST_P(VirtualRankCorrectness, DistributedMatchesFlat) {
   const unsigned hosts = GetParam();
   const Circuit c = circuits::ising(9, 2, 6);
   DistState state(9, 3, hosts);
-  DistributedHiSvSim::Options opt;
+  DistOptions opt;
   opt.process_qubits = 3;
-  DistributedHiSvSim().run(c, opt, state);
+  execute_plan(compile_plan(c, opt), state, {});
   const auto flat = sv::FlatSimulator().simulate(c);
   EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10)
       << hosts << " hosts";

@@ -20,9 +20,10 @@
 // runs the canonicalization pipeline before partitioning, 0 compiles the
 // circuit exactly as written; --json reports "gates_pre_opt" and the
 // per-pass "opt_passes" removal counts alongside the compiled "gates".
-// --target is one of flat, hierarchical, multilevel, distributed-serial,
+// --target is one of flat, hierarchical, distributed-serial,
 // distributed-threaded, iqs-baseline; when omitted it is derived from
-// --ranks / --level2 / --backend.
+// --ranks / --backend. --level2 (a second, cache-sized partitioning level
+// inside every part) needs a distributed target.
 // --kernel selects the apply-kernel tier: auto (default — SIMD when the
 // build and CPU support it, also via HISIM_KERNEL=scalar|simd|auto),
 // scalar, or simd (errors at compile when unavailable); the report's

@@ -2,7 +2,7 @@
 """hisim-layers: architecture-layering analyzer for the HiSVSIM tree.
 
 The paper's design is navigable because the module graph is a strict
-DAG — flat building blocks at the bottom, the hierarchical/multilevel/
+DAG — flat building blocks at the bottom, the hierarchical and
 distributed executors stacked above them:
 
     common -> circuit/qasm/dag -> opt/sv/partition -> noise -> dist

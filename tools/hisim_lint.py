@@ -19,6 +19,13 @@ Four rule families (see docs/ARCHITECTURE.md, "Correctness tooling"):
             thread counts, affinity, and sanitizer suppressions stay
             centralized.
 
+  hw_concurrency
+            std::thread::hardware_concurrency() is confined to
+            src/common/parallel.cpp, which asks once and caches the answer.
+            Everywhere else in src/ reads parallel::num_threads(): the
+            query can cost a syscall, and on a hot path such as the pool's
+            for_range a per-call query can dominate a run.
+
   mutex     Raw std::mutex / std::condition_variable / std::lock_guard /
             std::unique_lock / std::scoped_lock are confined to
             src/common/parallel.* -- everywhere else in src/ must use the
@@ -69,6 +76,10 @@ SANCTIONED = {
         "src/common/parallel.hpp",
         "src/common/parallel.cpp",
     },
+    # The one place the hardware thread count is queried (and cached).
+    "hw_concurrency": {
+        "src/common/parallel.cpp",
+    },
     # The annotated wrappers themselves are the only place the raw
     # primitives may appear; everything else uses hisim::Mutex et al.
     "mutex": {
@@ -105,6 +116,7 @@ SIMD_PATTERNS = [
     (re.compile(r"\b__m256[id]?\b"), "AVX2 vector type"),
 ]
 THREAD_PATTERN = re.compile(r"std\s*::\s*j?thread\b")
+HW_CONCURRENCY_PATTERN = re.compile(r"\bhardware_concurrency\b")
 MUTEX_PATTERN = re.compile(
     r"std\s*::\s*(?:recursive_|timed_|shared_)?mutex\b"
     r"|std\s*::\s*condition_variable(?:_any)?\b"
@@ -182,6 +194,12 @@ def lint_file(rel, text, sanctioned=SANCTIONED):
                              "raw std::thread outside the worker pool "
                              "(src/common/parallel.*); use "
                              "hisim::task_group"))
+        if in_src and rel not in sanctioned["hw_concurrency"] \
+                and HW_CONCURRENCY_PATTERN.search(line):
+            findings.append((rel, i, "hw_concurrency",
+                             "hardware_concurrency() outside "
+                             "src/common/parallel.cpp; read "
+                             "parallel::num_threads(), which caches it"))
         if in_src and rel not in sanctioned["mutex"] \
                 and MUTEX_PATTERN.search(line):
             findings.append((rel, i, "mutex",
@@ -227,6 +245,8 @@ FIXTURE_EXPECT = {
     "bad_rng.cpp": {"rng"},
     "bad_simd.cpp": {"simd"},
     "bad_thread.cpp": {"thread"},
+    # Spelled through std::thread, so the thread rule fires as well.
+    "bad_hw_concurrency.cpp": {"thread", "hw_concurrency"},
     "bad_mutex.cpp": {"mutex"},
     "bad_sleep.cpp": {"sleep"},
     "bad_chrono.cpp": {"chrono"},
@@ -263,6 +283,17 @@ def self_test(script_dir):
     if any(rule == "mutex" for _, _, rule, _ in wrapper_probe):
         failures.append("sanctioned file src/common/parallel.hpp was "
                         "flagged for mutex")
+    # The pool header may name std::thread but not query the count; the
+    # pool source is the one sanctioned caller.
+    hw_probe = "unsigned n = std::thread::hardware_concurrency();\n"
+    if {rule for _, _, rule, _ in
+            lint_file("src/common/parallel.hpp", hw_probe)} != \
+            {"hw_concurrency"}:
+        failures.append("src/common/parallel.hpp not flagged (alone) for "
+                        "hw_concurrency")
+    if lint_file("src/common/parallel.cpp", hw_probe):
+        failures.append("sanctioned file src/common/parallel.cpp was "
+                        "flagged for hw_concurrency")
     # The mutex/sleep/chrono rules police src/ only: tests may lock,
     # sleep, and time things directly.
     test_probe = lint_file(
