@@ -36,14 +36,13 @@ int main(int argc, char** argv) {
         bench::run_hisvsim(args, c, p, partition::Strategy::DagP);
     const Result multi =
         bench::run_hisvsim(args, c, p, partition::Strategy::DagP, level2);
-    const double gain = multi.execute_seconds > 0
-                            ? single.execute_seconds / multi.execute_seconds
-                            : 0.0;
+    const double single_s = single.metrics.at("execute.wall_seconds");
+    const double multi_s = multi.metrics.at("execute.wall_seconds");
+    const double gain = multi_s > 0 ? single_s / multi_s : 0.0;
     gains += gain;
     best = std::max(best, gain);
     ++cases;
-    bench::print_row({name, bench::fmt(single.execute_seconds, 4),
-                      bench::fmt(multi.execute_seconds, 4),
+    bench::print_row({name, bench::fmt(single_s, 4), bench::fmt(multi_s, 4),
                       bench::fmt(gain, 2), std::to_string(multi.parts),
                       std::to_string(multi.inner_parts)},
                      widths);

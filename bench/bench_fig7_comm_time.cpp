@@ -25,20 +25,23 @@ int main(int argc, char** argv) {
   for (const auto& e : bench::scaled_suite(args)) {
     for (unsigned p : args.process_qubits) {
       const auto iqs = bench::run_iqs(args, e.circuit, p);
+      const double iqs_avg = iqs.metrics.at("exchange.modeled_avg_seconds");
       std::vector<double> avg;
       double measured_comm = 0.0, measured_overlap = 0.0;
       for (auto s : {partition::Strategy::Nat, partition::Strategy::Dfs,
                      partition::Strategy::DagP}) {
         const auto his = bench::run_hisvsim(args, e.circuit, p, s,
                                             /*level2_limit=*/0, args.backend);
-        avg.push_back(his.comm.modeled_avg_seconds);
+        avg.push_back(his.metrics.at("exchange.modeled_avg_seconds"));
         if (s == partition::Strategy::DagP) {
-          measured_comm = his.measured_comm_seconds;
-          measured_overlap = his.measured_overlap_seconds;
+          measured_comm =
+              bench::measured_or_zero(his, "exchange.measured_seconds.sum");
+          measured_overlap =
+              bench::measured_or_zero(his, "exchange.overlap_seconds.sum");
         }
       }
       bench::print_row({e.meta.name, std::to_string(1u << p),
-                        bench::fmt(iqs.comm.modeled_avg_seconds * 1e3, 3),
+                        bench::fmt(iqs_avg * 1e3, 3),
                         bench::fmt(avg[0] * 1e3, 3),
                         bench::fmt(avg[1] * 1e3, 3),
                         bench::fmt(avg[2] * 1e3, 3),

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     std::vector<double> iqs_r, nat_r, dfs_r, dagp_r, meas_r;
     for (const auto& e : suite) {
       const auto iqs = bench::run_iqs(args, e.circuit, p);
-      if (iqs.comm_ratio() > 0) iqs_r.push_back(iqs.comm_ratio());
+      iqs_r.push_back(bench::comm_share(iqs));
       const auto nat = bench::run_hisvsim(args, e.circuit, p,
                                           partition::Strategy::Nat);
       const auto dfs = bench::run_hisvsim(args, e.circuit, p,
@@ -32,12 +32,14 @@ int main(int argc, char** argv) {
       const auto dagp =
           bench::run_hisvsim(args, e.circuit, p, partition::Strategy::DagP,
                              /*level2_limit=*/0, args.backend);
-      if (nat.comm_ratio() > 0) nat_r.push_back(nat.comm_ratio());
-      if (dfs.comm_ratio() > 0) dfs_r.push_back(dfs.comm_ratio());
-      if (dagp.comm_ratio() > 0) dagp_r.push_back(dagp.comm_ratio());
-      if (dagp.measured_wall_seconds > 0 && dagp.measured_comm_seconds > 0)
-        meas_r.push_back(dagp.measured_comm_seconds /
-                         dagp.measured_wall_seconds);
+      nat_r.push_back(bench::comm_share(nat));
+      dfs_r.push_back(bench::comm_share(dfs));
+      dagp_r.push_back(bench::comm_share(dagp));
+      const double wall = dagp.metrics.at("step.wall_seconds.sum");
+      if (wall > 0)
+        meas_r.push_back(
+            bench::measured_or_zero(dagp, "exchange.measured_seconds.sum") /
+            wall);
     }
     bench::print_row({std::to_string(1u << p),
                       bench::fmt(bench::geomean(iqs_r) * 100, 1),

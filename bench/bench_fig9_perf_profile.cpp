@@ -62,9 +62,9 @@ int main(int argc, char** argv) {
       total[1].push_back(nat.total_seconds());
       total[2].push_back(dfs.total_seconds());
       total[3].push_back(iqs.total_seconds());
-      comm[0].push_back(dagp.comm.modeled_avg_seconds);
-      comm[1].push_back(nat.comm.modeled_avg_seconds);
-      comm[2].push_back(dfs.comm.modeled_avg_seconds);
+      comm[0].push_back(dagp.metrics.at("exchange.modeled_avg_seconds"));
+      comm[1].push_back(nat.metrics.at("exchange.modeled_avg_seconds"));
+      comm[2].push_back(dfs.metrics.at("exchange.modeled_avg_seconds"));
     }
   }
 

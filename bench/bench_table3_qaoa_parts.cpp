@@ -43,9 +43,8 @@ int main(int argc, char** argv) {
     std::size_t total_gates = 0;
     for (std::size_t i = 0; i < parts.num_parts(); ++i) {
       const auto& part = parts.parts[i];
-      sv::HierarchicalStats stats;
       Timer t;
-      sv::run_part(c, part.gates, part.qubits, state, stats);
+      sv::run_part(c, part.gates, part.qubits, state);
       const double ms = t.millis();
       total_ms += ms;
       total_gates += part.gates.size();

@@ -56,8 +56,8 @@ std::vector<SuiteEntry> scaled_suite(const Args& args) {
 
 namespace {
 
-/// Single report sink for every bench run: the table columns read Result
-/// fields, and --json dumps the full serialized report per run.
+/// Single report sink for every bench run: the table columns read
+/// Result::metrics keys, and --json dumps the full serialized report.
 hisim::Result finish(const Args& args, hisim::Result r) {
   if (args.json) std::printf("%s\n", r.to_json().c_str());
   return r;
@@ -90,6 +90,17 @@ hisim::Result run_iqs(const Args& args, const Circuit& c, unsigned p) {
   opt.process_qubits = p;
   opt.seed = args.seed;
   return finish(args, Engine::compile(c, opt).execute(report_only()));
+}
+
+double measured_or_zero(const hisim::Result& r, const std::string& key) {
+  const auto it = r.metrics.find(key);
+  return it == r.metrics.end() ? 0.0 : it->second;
+}
+
+double comm_share(const hisim::Result& r) {
+  const double total = r.total_seconds();
+  return total > 0.0 ? r.metrics.at("exchange.modeled_seconds.sum") / total
+                     : 0.0;
 }
 
 double geomean(const std::vector<double>& xs) {

@@ -4,9 +4,10 @@
 // binary regenerates one table or figure of the paper at a scaled size
 // (flags: --qubits-delta, --ranks, --seed) and prints the same rows/series
 // the paper reports. Runs go through the hisim::Engine compile/execute
-// API and return flat hisim::Result reports; --json additionally dumps
-// every run's Result::to_json(), so the machine-readable report fields are
-// defined in exactly one place (engine.hpp).
+// API and return hisim::Result reports; the columns read Result::metrics
+// keys, and --json additionally dumps every run's Result::to_json(), so
+// the machine-readable report fields are defined in exactly one place
+// (engine.hpp).
 
 #include <string>
 #include <vector>
@@ -51,6 +52,17 @@ hisim::Result run_hisvsim(const Args& args, const Circuit& c, unsigned p,
 
 /// Runs the IQS-style baseline target.
 hisim::Result run_iqs(const Args& args, const Circuit& c, unsigned p);
+
+/// A Result::metrics key a run records only when the event happened —
+/// exchange.measured_seconds.* and exchange.overlap_seconds.* exist once
+/// a step moved data — read as 0 when absent. Keys every run of a target
+/// carries are read with metrics.at(), which fails loudly on a rename.
+double measured_or_zero(const hisim::Result& r, const std::string& key);
+
+/// Modeled comm share of Result::total_seconds(), in [0, 1]: the sharded
+/// targets' exchange.modeled_seconds.sum over the total (0 when the
+/// total is 0).
+double comm_share(const hisim::Result& r);
 
 /// Geometric mean (ignores non-positive entries).
 double geomean(const std::vector<double>& xs);

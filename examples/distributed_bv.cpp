@@ -41,18 +41,20 @@ int main(int argc, char** argv) {
 
   std::printf("\n%-22s %12s %12s\n", "", "HiSVSIM", "IQS-style");
   std::printf("%-22s %12zu %12s\n", "parts / exchanges", his.parts, "-");
-  std::printf("%-22s %12zu %12zu\n", "comm events", his.comm.exchanges,
-              iqs.comm.exchanges);
+  // Both targets account through the same metric keys.
+  std::printf("%-22s %12.0f %12.0f\n", "comm events",
+              his.metrics.at("exchange.count"),
+              iqs.metrics.at("exchange.count"));
   std::printf("%-22s %12.2f %12.2f\n", "comm volume (MiB)",
-              static_cast<double>(his.comm.bytes_total) / (1 << 20),
-              static_cast<double>(iqs.comm.bytes_total) / (1 << 20));
+              his.metrics.at("exchange.bytes") / (1 << 20),
+              iqs.metrics.at("exchange.bytes") / (1 << 20));
   std::printf("%-22s %12.3f %12.3f\n", "modeled comm (ms)",
-              his.comm.modeled_max_seconds * 1e3,
-              iqs.comm.modeled_max_seconds * 1e3);
+              his.metrics.at("exchange.modeled_seconds.sum") * 1e3,
+              iqs.metrics.at("exchange.modeled_seconds.sum") * 1e3);
   std::printf("%-22s %12.3f %12.3f\n", "modeled total (ms)",
               his.total_seconds() * 1e3, iqs.total_seconds() * 1e3);
   std::printf("%-22s %12.3f %12s\n", "compile, once (ms)",
-              his.compile_seconds * 1e3, "-");
+              his.metrics.at("compile.total_seconds") * 1e3, "-");
   if (his.total_seconds() > 0)
     std::printf("\nimprovement factor over IQS: %.2fx\n",
                 iqs.total_seconds() / his.total_seconds());

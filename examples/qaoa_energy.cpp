@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     double cut = 0.0;
     for (double zz : results[i].observables) cut += 0.5 * (1.0 - zz);
-    wall += results[i].execute_seconds;
+    wall += results[i].metrics.at("execute.wall_seconds");
     if (cut > best_cut) {
       best_cut = cut;
       best_gamma = points[i].at(inst.gammas[0]);

@@ -36,12 +36,14 @@ int main() {
 
   // Execute it — once plainly, once more with measurement shots. Every
   // execution starts from |0...0> and pays zero partitioning cost.
+  // Every measured number lands in Result::metrics.
   const Result r1 = plan.execute();
   std::printf("run 1: gather %.3f ms / apply %.3f ms / scatter %.3f ms, "
               "outer traffic %.1f MiB, norm %.12f\n",
-              r1.gather_seconds * 1e3, r1.apply_seconds * 1e3,
-              r1.scatter_seconds * 1e3,
-              static_cast<double>(r1.outer_bytes_moved) / (1 << 20), r1.norm);
+              r1.metrics.at("gather.seconds") * 1e3,
+              r1.metrics.at("apply.seconds") * 1e3,
+              r1.metrics.at("scatter.seconds") * 1e3,
+              r1.metrics.at("sv.outer_bytes_moved") / (1 << 20), r1.norm);
 
   ExecOptions shots;
   shots.shots = 1000;

@@ -272,7 +272,7 @@ std::string metrics_to_json(const std::map<std::string, double>& flat) {
     first = false;
     json_escaped(os, name.c_str());
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%.9g", value);
+    std::snprintf(buf, sizeof buf, "%.17g", value);
     os << ": " << buf;
   }
   os << '}';
@@ -376,7 +376,7 @@ std::string TraceSession::chrome_json() {
                     static_cast<double>(e.t0_ns) * 1e-3);
       os << ", \"ph\": \"C\", \"ts\": " << buf;
       os << ", \"pid\": 1, \"tid\": " << e.tid;
-      std::snprintf(buf, sizeof buf, "%.9g", e.value);
+      std::snprintf(buf, sizeof buf, "%.17g", e.value);  // exact counts
       os << ", \"args\": {\"value\": " << buf << "}}";
     }
   });

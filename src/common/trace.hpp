@@ -95,8 +95,8 @@ class Distribution {
 ///   - MetricsRegistry::global(): process-wide totals ("pool.tasks",
 ///     "partition.refine_passes") exported with the trace.
 ///   - A run-local registry on an execute's stack: per-run phase numbers
-///     (DistRunReport, Result::metrics) that concurrent executes must
-///     not cross-pollute; merged into snapshots/JSON when the run ends.
+///     (dist::execute_plan's steps) that concurrent executes must not
+///     cross-pollute; flattened into Result::metrics when the run ends.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -126,7 +126,9 @@ class MetricsRegistry {
 };
 
 /// Serializes an already-flattened metrics map as a JSON object — the
-/// shared emitter for Result::to_json and the trace file.
+/// shared emitter for Result::to_json and the trace file. Values print
+/// with 17 significant digits, so counts and byte totals stay exact and
+/// every value parses back to the same double.
 std::string metrics_to_json(const std::map<std::string, double>& flat);
 
 // ---------------------------------------------------------------------------

@@ -13,21 +13,8 @@
 
 namespace hisim::dist {
 
-double pipelined_total_seconds(
-    std::span<const std::pair<double, double>> part_times, double fallback) {
-  if (part_times.empty()) return fallback;
-  double t = part_times.front().first;
-  for (std::size_t i = 0; i < part_times.size(); ++i) {
-    const double next_comm =
-        i + 1 < part_times.size() ? part_times[i + 1].first : 0.0;
-    t += std::max(part_times[i].second, next_comm);
-  }
-  return t;
-}
-
 DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
                       const RankLayout* initial) {
-  Timer compile_timer;
   const unsigned n = c.num_qubits();
   const unsigned p = opt.process_qubits;
   HISIM_CHECK_MSG(p > 0 && p < n, "need 0 < process_qubits < num_qubits");
@@ -101,15 +88,16 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
     plan.steps.push_back(std::move(step));
     prev = &plan.steps.back().layout;
   }
-  plan.compile_seconds = compile_timer.seconds();
   return plan;
 }
 
-DistRunReport execute_plan(const DistPlan& plan, DistState& state,
-                           const NetworkModel& net, CommBackend* backend_ptr,
-                           std::span<const double> param_values,
-                           std::span<const Gate> noise_ops,
-                           const sv::KernelOps* kernels) {
+void execute_plan(const DistPlan& plan, DistState& state,
+                  const NetworkModel& net,
+                  std::map<std::string, double>* metrics,
+                  CommBackend* backend_ptr,
+                  std::span<const double> param_values,
+                  std::span<const Gate> noise_ops,
+                  const sv::KernelOps* kernels) {
   const sv::KernelOps& kops =
       kernels != nullptr ? *kernels : sv::kernel_ops();
   const unsigned n = plan.num_qubits;
@@ -121,21 +109,25 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
   const unsigned v = state.num_ranks();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
-  DistRunReport rep;
-
-  // One accounting source for the run: every per-step measurement is
-  // recorded into this run-local registry (local so concurrent executes
-  // on separate states cannot cross-pollute) and the report's scalar
-  // fields are queried back from it at the end. Recording happens
-  // serially on this thread in step order, so each distribution's sum
-  // accumulates in exactly the fp order the old `+=` fields used — the
-  // scalar outputs are bit-identical to the pre-registry plumbing.
+  // Every per-step measurement is recorded into this run-local registry
+  // (local so concurrent executes on separate states cannot
+  // cross-pollute), serially on this thread in step order, and flattened
+  // into `metrics` at the end. Each step's exchange is charged to its own
+  // CommStats, so every distribution sum accumulates the per-event values
+  // in the order one running CommStats would have.
   trace::MetricsRegistry reg;
+  trace::Counter& c_count = reg.counter("exchange.count");
+  trace::Counter& c_bytes = reg.counter("exchange.bytes");
+  trace::Counter& c_messages = reg.counter("exchange.messages");
   trace::Distribution& d_modeled = reg.distribution("exchange.modeled_seconds");
   trace::Distribution& d_apply = reg.distribution("apply.seconds");
   trace::Distribution& d_wall = reg.distribution("step.wall_seconds");
   trace::Distribution& d_comm = reg.distribution("exchange.measured_seconds");
   trace::Distribution& d_overlap = reg.distribution("exchange.overlap_seconds");
+  double modeled_avg = 0.0;
+  // Sec. V-C pipelined estimate: step i's apply hides behind step i+1's
+  // exchange, so each step adds max(previous apply, own comm).
+  double pipelined = 0.0, prev_comp = 0.0;
 
   std::int64_t step_index = 0;
   for (const DistPlan::Step& step : plan.steps) {
@@ -145,10 +137,10 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
     // qubits are already local. The exchange is started asynchronously;
     // each rank below waits only for its own shard before applying.
     Timer wall;
-    const double comm_before = rep.comm.modeled_max_seconds;
+    CommStats step_comm;
     const std::unique_ptr<ExchangeHandle> handle =
-        state.redistribute_async(step.layout, net, rep.comm, backend);
-    const double part_comm = rep.comm.modeled_max_seconds - comm_before;
+        state.redistribute_async(step.layout, net, step_comm, backend);
+    const double part_comm = step_comm.modeled_max_seconds;
     // The comm window on the part clock: movement started (at most) here
     // and finishes handle->finished_after() later (0 for a synchronous
     // backend — its movement already happened).
@@ -204,10 +196,11 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
               for (const Gate& g : local.gates())
                 sv::apply_gate(state.local(rank), g, kops);
             } else {
-              sv::HierarchicalStats scratch;  // per-rank: run_part mutates it
+              // Level-2 parts record nothing: the step's apply window
+              // above is the rank's measurement.
               for (const partition::Part& ip : step.inner.parts)
                 sv::run_part(local, ip.gates, ip.qubits,
-                             state.local(rank), scratch, &kops);
+                             state.local(rank), nullptr, &kops);
             }
             const double t1 = wall.seconds();
             MutexLock lk(comp_mu);
@@ -234,27 +227,25 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
     d_wall.record(wall.seconds());
     d_apply.record(part_comp);
     d_modeled.record(part_comm);
-    rep.part_times.emplace_back(part_comm, part_comp);
+    c_count.add(step_comm.exchanges);
+    c_bytes.add(static_cast<std::uint64_t>(step_comm.bytes_total));
+    c_messages.add(step_comm.messages_total);
+    modeled_avg += step_comm.modeled_avg_seconds;
+    pipelined += std::max(prev_comp, part_comm);
+    prev_comp = part_comp;
     // Counter tracks in the trace viewer: cumulative modeled network
     // bytes and messages after each step.
     trace::counter_sample("exchange.bytes",
-                          static_cast<double>(rep.comm.bytes_total));
+                          static_cast<double>(c_bytes.value()));
     trace::counter_sample("exchange.messages",
-                          static_cast<double>(rep.comm.messages_total));
+                          static_cast<double>(c_messages.value()));
   }
+  pipelined += prev_comp;
 
-  // The report's scalar fields are the registry's sums — same values,
-  // same fp accumulation order, one accounting source.
-  rep.compute_seconds = d_apply.snapshot().sum;
-  rep.measured_comm_seconds = d_comm.snapshot().sum;
-  rep.measured_wall_seconds = d_wall.snapshot().sum;
-  rep.measured_overlap_seconds = d_overlap.snapshot().sum;
-  reg.counter("exchange.count").add(rep.comm.exchanges);
-  reg.counter("exchange.bytes").add(static_cast<std::uint64_t>(
-      rep.comm.bytes_total));
-  reg.counter("exchange.messages").add(rep.comm.messages_total);
-  rep.metrics = reg.flat();
-  return rep;
+  if (metrics == nullptr) return;
+  for (const auto& [key, value] : reg.flat()) (*metrics)[key] = value;
+  (*metrics)["exchange.modeled_avg_seconds"] = modeled_avg;
+  (*metrics)["step.pipelined_seconds"] = pipelined;
 }
 
 }  // namespace hisim::dist

@@ -14,56 +14,6 @@
 
 namespace hisim::dist {
 
-/// Pipelined-total estimate (paper Sec. V-C) over per-part (modeled comm,
-/// measured compute) pairs: while a rank computes part i it can already
-/// receive the exchange for part i+1, so
-///   T = comm_1 + sum_i max(compute_i, comm_{i+1})   (comm_{k+1} = 0).
-/// Returns `fallback` when no per-part times were recorded. The definition
-/// behind hisim::Result::total_seconds_overlapped().
-double pipelined_total_seconds(
-    std::span<const std::pair<double, double>> part_times, double fallback);
-
-/// What execute_plan measures in one distributed run: compute and
-/// exchange wall-clock time, modeled network time, and the per-part
-/// (comm, compute) pairs the modeled overlap estimate is built from. Part
-/// counts and partitioning time are properties of the DistPlan.
-struct DistRunReport {
-  /// Measured wall-clock span of the shard-local apply phase, summed over
-  /// parts (first rank starting to compute → last rank finished; the
-  /// per-rank loop may fan out over the worker pool). Directly comparable
-  /// to IqsRunReport::compute_seconds, which brackets the same kind of
-  /// region.
-  double compute_seconds = 0.0;
-  CommStats comm;                // modeled network cost, all exchanges
-  /// One (modeled comm seconds, measured compute seconds) pair per part,
-  /// in execution order. Parts whose qubits were already local have a
-  /// zero comm entry.
-  std::vector<std::pair<double, double>> part_times;
-
-  /// Measured wall-clock seconds exchange data movement was in flight,
-  /// summed over exchanges (as reported by the CommBackend handles).
-  double measured_comm_seconds = 0.0;
-  /// Measured wall-clock seconds of the whole exchange+apply pipeline,
-  /// summed over parts. With an async backend this is less than
-  /// measured_comm_seconds + compute_seconds whenever compute on arrived
-  /// shards proceeded while the rest of the exchange was in flight.
-  double measured_wall_seconds = 0.0;
-  /// Measured wall-clock seconds during which exchange data movement and
-  /// shard-local compute were *simultaneously* in progress (intersection
-  /// of the comm and compute windows, summed over parts). Zero for a
-  /// synchronous backend, and never exceeds either measured_comm_seconds
-  /// or compute_seconds — hence never their sum.
-  double measured_overlap_seconds = 0.0;
-
-  /// Flat per-phase metrics (trace::MetricsRegistry::flat() of the run's
-  /// registry): per-step distributions of the scalar fields above plus
-  /// exchange counters ("exchange.count", "exchange.bytes",
-  /// "exchange.messages"). The scalar fields themselves are *queried from*
-  /// the same registry — one accounting source — and keep their exact
-  /// to_json names and semantics.
-  std::map<std::string, double> metrics;
-};
-
 /// Compile-time configuration of a distributed run.
 struct DistOptions {
   /// p: the run uses 2^p virtual ranks; each shard holds 2^(n-p)
@@ -91,8 +41,7 @@ struct DistPlan {
   Circuit circuit;               // lowered when wide gates required it
   RankLayout initial_layout;     // layout the exchange schedule starts from
   std::size_t inner_parts = 0;   // total second-level parts across steps
-  double partition_seconds = 0;  // partitioning share of compile_seconds
-  double compile_seconds = 0;    // full wall-clock cost of compile_plan()
+  double partition_seconds = 0;  // both levels' partitioning wall time
 
   /// One entry per first-level part, in execution order.
   struct Step {
@@ -171,11 +120,24 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
 ///
 /// `kernels` selects the apply-kernel tier for every shard-local gate
 /// (nullptr = the Auto-resolved default; see sv/kernel_dispatch.hpp).
-DistRunReport execute_plan(const DistPlan& plan, DistState& state,
-                           const NetworkModel& net,
-                           CommBackend* backend = nullptr,
-                           std::span<const double> param_values = {},
-                           std::span<const Gate> noise_ops = {},
-                           const sv::KernelOps* kernels = nullptr);
+///
+/// The run's measurements are written into `metrics` (nullptr records
+/// nothing) from the calling thread: the exchange totals (exchange.count,
+/// .bytes, .messages, exchange.modeled_avg_seconds); one sample per step
+/// of exchange.modeled_seconds, apply.seconds (first rank starting to
+/// last rank finished) and step.wall_seconds, plus, for steps that
+/// exchanged, exchange.measured_seconds and exchange.overlap_seconds (the
+/// intersection of the comm and compute windows), each flattened to
+/// `.count/.min/.max/.sum/.mean`; and step.pipelined_seconds, the paper's
+/// Sec. V-C estimate over the per-step (modeled comm, apply) pairs:
+/// T = comm_1 + sum_i max(apply_i, comm_{i+1}), comm_{k+1} = 0.
+/// docs/ARCHITECTURE.md ("Metric keys") lists every target's keys.
+void execute_plan(const DistPlan& plan, DistState& state,
+                  const NetworkModel& net,
+                  std::map<std::string, double>* metrics = nullptr,
+                  CommBackend* backend = nullptr,
+                  std::span<const double> param_values = {},
+                  std::span<const Gate> noise_ops = {},
+                  const sv::KernelOps* kernels = nullptr);
 
 }  // namespace hisim::dist

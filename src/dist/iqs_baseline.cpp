@@ -55,10 +55,11 @@ bool is_identity(const Matrix& m) {
 
 }  // namespace
 
-IqsRunReport IqsBaselineSimulator::run(const Circuit& c, DistState& state,
-                                       const NetworkModel& net,
-                                       CommBackend* backend_ptr,
-                                       const sv::KernelOps* kernels) const {
+void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
+                               const NetworkModel& net,
+                               std::map<std::string, double>* metrics,
+                               CommBackend* backend_ptr,
+                               const sv::KernelOps* kernels) const {
   const sv::KernelOps& kops =
       kernels != nullptr ? *kernels : sv::kernel_ops();
   const unsigned n = c.num_qubits();
@@ -71,7 +72,7 @@ IqsRunReport IqsBaselineSimulator::run(const Circuit& c, DistState& state,
   const Index ldim = state.layout().local_dim();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
-  IqsRunReport rep;
+  CommStats comm;
   Stopwatch compute;
 
   std::int64_t gate_index = 0;
@@ -216,11 +217,17 @@ IqsRunReport IqsBaselineSimulator::run(const Circuit& c, DistState& state,
         }
       }
     }
-    if (any_exchanged) charge_exchange(rep.comm, net, sent, recv, msgs);
+    if (any_exchanged) charge_exchange(comm, net, sent, recv, msgs);
   }
 
-  rep.compute_seconds = compute.seconds();
-  return rep;
+  if (metrics == nullptr) return;
+  std::map<std::string, double>& m = *metrics;
+  m["apply.seconds.sum"] = compute.seconds();
+  m["exchange.count"] = static_cast<double>(comm.exchanges);
+  m["exchange.bytes"] = static_cast<double>(comm.bytes_total);
+  m["exchange.messages"] = static_cast<double>(comm.messages_total);
+  m["exchange.modeled_seconds.sum"] = comm.modeled_max_seconds;
+  m["exchange.modeled_avg_seconds"] = comm.modeled_avg_seconds;
 }
 
 }  // namespace hisim::dist

@@ -1,18 +1,14 @@
 #pragma once
 
+#include <map>
+#include <string>
+
 #include "circuit/circuit.hpp"
 #include "dist/backend.hpp"
 #include "dist/dist_state.hpp"
 #include "sv/kernel_dispatch.hpp"
 
 namespace hisim::dist {
-
-/// What one IQS-baseline run measures (same comm model as DistRunReport,
-/// but per-gate exchanges instead of per-part redistributions).
-struct IqsRunReport {
-  double compute_seconds = 0.0;
-  CommStats comm;
-};
 
 /// Intel-QS-style distributed baseline (the paper's Fig. 7/8 comparison
 /// arm): the amplitude layout is *fixed* to the identity — qubit q at slot
@@ -34,12 +30,20 @@ class IqsBaselineSimulator {
   /// comparing the two on a non-default interconnect. Rank-local
   /// work and the pairwise exchange groups (which touch disjoint shard
   /// sets) execute through `backend` (nullptr = serial_backend()); the
-  /// resulting state and CommStats are backend-independent. `kernels`
-  /// selects the apply-kernel tier (nullptr = the Auto-resolved default).
-  IqsRunReport run(const Circuit& c, DistState& state,
-                   const NetworkModel& net = {},
-                   CommBackend* backend = nullptr,
-                   const sv::KernelOps* kernels = nullptr) const;
+  /// resulting state and exchange accounting are backend-independent.
+  /// `kernels` selects the apply-kernel tier (nullptr = the Auto-resolved
+  /// default).
+  ///
+  /// Writes into `metrics` (nullptr records nothing) the keys
+  /// dist::execute_plan uses for the same quantities: apply.seconds.sum
+  /// (every gate's compute, exchange groups included), exchange.count,
+  /// exchange.bytes, exchange.messages, exchange.modeled_seconds.sum
+  /// (slowest-host cost summed over exchanges) and
+  /// exchange.modeled_avg_seconds.
+  void run(const Circuit& c, DistState& state, const NetworkModel& net = {},
+           std::map<std::string, double>* metrics = nullptr,
+           CommBackend* backend = nullptr,
+           const sv::KernelOps* kernels = nullptr) const;
 };
 
 }  // namespace hisim::dist

@@ -40,8 +40,8 @@ unsigned run_bits(std::span<const unsigned> perm);
 /// the only communication HiSVSIM performs.
 class RankLayout {
  public:
-  /// Empty (0-qubit) placeholder so plan/report structs can default-
-  /// construct; every real layout comes from the validating constructors.
+  /// Empty (0-qubit) placeholder so plan structs can default-construct;
+  /// every real layout comes from the validating constructors.
   RankLayout() = default;
 
   /// Builds a layout from an explicit qubit→slot map: slot_of[q] is the

@@ -74,11 +74,13 @@ void append_kv(std::ostringstream& os, bool& first, const char* key) {
   os << "  \"" << key << "\": ";
 }
 
+/// 17 significant digits: the printed value parses back to the exact
+/// double (the same round-trip policy as json_params and the metrics).
 void json_num(std::ostringstream& os, bool& first, const char* key,
               double v) {
   append_kv(os, first, key);
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
+  std::snprintf(buf, sizeof buf, "%.17g", v);
   os << buf;
 }
 
@@ -176,17 +178,15 @@ void run_indexed_on_pool(std::size_t count,
 }  // namespace
 
 double Result::total_seconds() const {
-  if (ranks > 0) return compute_seconds + comm.modeled_max_seconds;
-  return gather_seconds + apply_seconds + scatter_seconds;
-}
-
-double Result::total_seconds_overlapped() const {
-  return dist::pipelined_total_seconds(part_times, total_seconds());
-}
-
-double Result::comm_ratio() const {
-  const double total = total_seconds();
-  return total > 0.0 ? comm.modeled_max_seconds / total : 0.0;
+  // A phase the target did not run has no key and adds nothing.
+  const auto get = [this](const char* key) {
+    const auto it = metrics.find(key);
+    return it == metrics.end() ? 0.0 : it->second;
+  };
+  if (ranks > 0)
+    return get("apply.seconds.sum") + get("exchange.modeled_seconds.sum");
+  return get("gather.seconds") + get("apply.seconds") +
+         get("scatter.seconds");
 }
 
 std::vector<std::pair<double, Index>> Result::top_counts(
@@ -222,41 +222,11 @@ std::string Result::to_json() const {
   }
   json_int(os, first, "parts", parts);
   json_int(os, first, "inner_parts", inner_parts);
-  json_num(os, first, "compile_seconds", compile_seconds);
-  json_num(os, first, "partition_seconds", partition_seconds);
-  // Deliberately NOT named "execute_seconds": the pre-Engine CLI schema
-  // used that key for gate-apply time (now "apply_seconds"), and a silent
-  // meaning change would skew old consumers; a missing key fails loudly.
-  json_num(os, first, "execute_wall_seconds", execute_seconds);
-  if (ranks > 0) {
-    json_int(os, first, "ranks", ranks);
-    json_int(os, first, "comm_exchanges", comm.exchanges);
-    json_int(os, first, "comm_messages", comm.messages_total);
-    json_int(os, first, "comm_bytes", comm.bytes_total);
-    json_num(os, first, "comm_seconds_modeled", comm.modeled_max_seconds);
-    json_num(os, first, "comm_seconds_modeled_avg", comm.modeled_avg_seconds);
-    json_num(os, first, "comm_seconds_measured", measured_comm_seconds);
-    json_num(os, first, "wall_seconds_measured", measured_wall_seconds);
-    json_num(os, first, "overlap_seconds_measured", measured_overlap_seconds);
-    json_num(os, first, "compute_seconds", compute_seconds);
-    json_num(os, first, "total_seconds_overlapped", total_seconds_overlapped());
-    json_num(os, first, "comm_ratio", comm_ratio());
-  } else {
-    json_num(os, first, "gather_seconds", gather_seconds);
-    json_num(os, first, "apply_seconds", apply_seconds);
-    json_num(os, first, "scatter_seconds", scatter_seconds);
-    json_int(os, first, "outer_bytes_moved", outer_bytes_moved);
-    json_int(os, first, "inner_bytes_touched", inner_bytes_touched);
-    json_num(os, first, "flops", flops);
-  }
+  if (ranks > 0) json_int(os, first, "ranks", ranks);
   json_num(os, first, "total_seconds", total_seconds());
-  if (!metrics.empty()) {
-    // The flat per-phase metrics map (trace::MetricsRegistry naming);
-    // present on every target so benches and the CLI get the breakdown
-    // without enabling tracing.
-    append_kv(os, first, "metrics");
-    os << trace::metrics_to_json(metrics);
-  }
+  // Every measured and modeled number, on every target, without tracing.
+  append_kv(os, first, "metrics");
+  os << trace::metrics_to_json(metrics);
   json_params(os, first, params);
   json_int(os, first, "shots", samples.size());
   if (!samples.empty()) json_top_counts(os, first, top_counts(16));
@@ -291,24 +261,36 @@ const Circuit& ExecutionPlan::circuit() const {
   return impl_->executed_circuit();
 }
 std::size_t ExecutionPlan::num_parts() const {
-  HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
-  return impl_->parts;
+  switch (target()) {
+    case Target::Flat: return 1;  // the whole circuit, unpartitioned
+    case Target::Hierarchical: return impl_->single.num_parts();
+    case Target::DistributedSerial:
+    case Target::DistributedThreaded: return impl_->dplan.num_parts();
+    case Target::IqsBaseline: return 0;
+  }
+  return 0;
 }
 std::size_t ExecutionPlan::num_inner_parts() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
-  return impl_->inner_parts;
+  return impl_->dplan.inner_parts;  // 0 unless a distributed level 2 ran
 }
 unsigned ExecutionPlan::num_ranks() const {
-  HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
-  return impl_->ranks;
+  return target_is_distributed(target()) ? 1u << options().process_qubits
+                                         : 0u;
 }
 double ExecutionPlan::compile_seconds() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
   return impl_->compile_seconds;
 }
 double ExecutionPlan::partition_seconds() const {
-  HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
-  return impl_->partition_seconds;
+  switch (target()) {
+    case Target::Hierarchical: return impl_->single.partition_seconds;
+    case Target::DistributedSerial:
+    case Target::DistributedThreaded: return impl_->dplan.partition_seconds;
+    case Target::Flat:
+    case Target::IqsBaseline: return 0.0;
+  }
+  return 0.0;
 }
 const std::vector<std::string>& ExecutionPlan::param_names() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
@@ -393,9 +375,9 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
     impl->circuit = *source;
   const unsigned n = source->num_qubits();
 
+  double partition_seconds = 0.0;
   switch (opt_.target) {
     case Target::Flat:
-      impl->parts = 1;  // the whole circuit, unpartitioned
       break;
 
     case Target::Hierarchical: {
@@ -408,8 +390,7 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       po.limit = effective_limit(opt_, n);
       po.seed = opt_.seed;
       impl->single = partition::make_partition(dag, po);
-      impl->parts = impl->single.num_parts();
-      impl->partition_seconds = impl->single.partition_seconds;
+      partition_seconds = impl->single.partition_seconds;
       break;
     }
 
@@ -424,17 +405,13 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       dopt.part.seed = opt_.seed;
       dopt.level2_limit = opt_.level2_limit;
       impl->dplan = dist::compile_plan(*source, dopt);
-      impl->parts = impl->dplan.num_parts();
-      impl->inner_parts = impl->dplan.inner_parts;
-      impl->partition_seconds = impl->dplan.partition_seconds;
-      impl->ranks = 1u << opt_.process_qubits;
+      partition_seconds = impl->dplan.partition_seconds;
       break;
     }
 
     case Target::IqsBaseline:
       HISIM_CHECK_MSG(opt_.process_qubits > 0 && opt_.process_qubits < n,
                       "iqs-baseline requires 0 < process_qubits < qubits");
-      impl->ranks = 1u << opt_.process_qubits;
       break;
   }
 
@@ -443,8 +420,7 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
   // Result::metrics. Zero when the phase did not run — the keys stay
   // stable across configurations so trace diffs line up.
   impl->compile_metrics["compile.total_seconds"] = impl->compile_seconds;
-  impl->compile_metrics["compile.partition_seconds"] =
-      impl->partition_seconds;
+  impl->compile_metrics["compile.partition_seconds"] = partition_seconds;
   impl->compile_metrics["compile.instrument_seconds"] = instrument_seconds;
   impl->compile_metrics["compile.optimize_seconds"] = optimize_seconds;
   impl->compile_metrics["compile.gates_removed"] = static_cast<double>(
@@ -533,11 +509,9 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   r.gates_pre_opt = plan.opt_report.gates_before;
   r.opt_passes = plan.opt_report.deltas;
   r.kernel = plan.kernels->name;
-  r.parts = plan.parts;
-  r.inner_parts = plan.inner_parts;
-  r.ranks = plan.ranks;
-  r.compile_seconds = plan.compile_seconds;
-  r.partition_seconds = plan.partition_seconds;
+  r.parts = num_parts();
+  r.inner_parts = num_inner_parts();
+  r.ranks = num_ranks();
   r.metrics = plan.compile_metrics;
 
   sv::StateVector state;
@@ -552,67 +526,27 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
     } else {
       state = sv::StateVector(n);
     }
-    switch (opt.target) {
-      case Target::Flat: {
-        Timer t;
-        trace::TraceSpan span("apply", "sv");
-        sv::FlatSimulator().run(c, state, plan.kernels);
-        r.apply_seconds = t.seconds();
-        break;
-      }
-      case Target::Hierarchical: {
-        const sv::HierarchicalStats stats = sv::HierarchicalSimulator().run(
-            c, plan.single, state, plan.kernels);
-        r.gather_seconds = stats.gather_seconds;
-        r.apply_seconds = stats.execute_seconds;
-        r.scatter_seconds = stats.scatter_seconds;
-        r.outer_bytes_moved = stats.outer_bytes_moved;
-        r.inner_bytes_touched = stats.inner_bytes_touched;
-        r.flops = stats.flops;
-        r.metrics["gather.seconds"] = stats.gather_seconds;
-        r.metrics["scatter.seconds"] = stats.scatter_seconds;
-        r.metrics["sv.outer_bytes_moved"] =
-            static_cast<double>(stats.outer_bytes_moved);
-        r.metrics["sv.inner_bytes_touched"] =
-            static_cast<double>(stats.inner_bytes_touched);
-        r.metrics["sv.flops"] = stats.flops;
-        break;
-      }
-      default: break;  // unreachable
+    if (opt.target == Target::Flat) {
+      Timer t;
+      trace::TraceSpan span("apply", "sv");
+      sv::FlatSimulator().run(c, state, plan.kernels);
+      r.metrics["apply.seconds"] = t.seconds();
+    } else {
+      sv::HierarchicalSimulator().run(c, plan.single, state, &r.metrics,
+                                      plan.kernels);
     }
-    r.metrics["apply.seconds"] = r.apply_seconds;
-    r.execute_seconds = wall.seconds();
+    r.metrics["execute.wall_seconds"] = wall.seconds();
   } else {
     dist::DistState st(n, opt.process_qubits);
     if (opts.initial_state) st.load_state_vector(*opts.initial_state);
-    if (opt.target == Target::IqsBaseline) {
-      const dist::IqsRunReport ir =
-          dist::IqsBaselineSimulator().run(c, st, opts.net, nullptr,
-                                           plan.kernels);
-      r.compute_seconds = ir.compute_seconds;
-      r.comm = ir.comm;
-      r.metrics["compute.seconds"] = ir.compute_seconds;
-      r.metrics["exchange.count"] = static_cast<double>(ir.comm.exchanges);
-      r.metrics["exchange.bytes"] = static_cast<double>(ir.comm.bytes_total);
-      r.metrics["exchange.messages"] =
-          static_cast<double>(ir.comm.messages_total);
-    } else {
-      const dist::DistRunReport dr =
-          dist::execute_plan(plan.dplan, st, opts.net,
-                             backend_for_target(opt.target), param_values,
-                             noise_ops, plan.kernels);
-      r.compute_seconds = dr.compute_seconds;
-      r.comm = dr.comm;
-      r.part_times = dr.part_times;
-      r.measured_comm_seconds = dr.measured_comm_seconds;
-      r.measured_wall_seconds = dr.measured_wall_seconds;
-      r.measured_overlap_seconds = dr.measured_overlap_seconds;
-      // The distributed executor's run registry, flattened: per-step
-      // distributions of the modeled/measured phase times plus the
-      // exchange counters.
-      r.metrics.insert(dr.metrics.begin(), dr.metrics.end());
-    }
-    r.execute_seconds = wall.seconds();
+    if (opt.target == Target::IqsBaseline)
+      dist::IqsBaselineSimulator().run(c, st, opts.net, &r.metrics, nullptr,
+                                       plan.kernels);
+    else
+      dist::execute_plan(plan.dplan, st, opts.net, &r.metrics,
+                         backend_for_target(opt.target), param_values,
+                         noise_ops, plan.kernels);
+    r.metrics["execute.wall_seconds"] = wall.seconds();
     // Gathering the sharded state is O(2^n); report-only executions
     // (want_state off, no shots/observables) get the norm from the
     // shards instead and skip it.
@@ -630,12 +564,10 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
         sv::validate_norm_preserved(
             opts.initial_state ? opts.initial_state->norm() : 1.0, r.norm,
             "sharded execute (report-only)");
-      r.metrics["execute.wall_seconds"] = r.execute_seconds;
       return r;
     }
   }
 
-  r.metrics["execute.wall_seconds"] = r.execute_seconds;
   r.norm = state.norm();
   // Checked builds: a unitary segment (no sampled trajectory operators, no
   // non-unitary matrices) must preserve the initial norm — a violation

@@ -143,10 +143,10 @@ struct ExecOptions {
   dist::NetworkModel net;
 };
 
-/// Flat, single-headed report of one execution, carrying both the plan's
-/// compile-side accounting (constant across executions of one plan) and
-/// this execution's measurements. to_json() is the single definition of
-/// the report fields used by the CLI and the benchmark drivers.
+/// Report of one execution: the plan's identity, this execution's
+/// outputs, and `metrics` — the one place its measured and modeled numbers
+/// live. to_json() is the single definition of the report fields the CLI
+/// and the benches print.
 struct Result {
   // -- circuit / configuration identity ------------------------------
   std::string circuit;
@@ -160,35 +160,11 @@ struct Result {
   std::vector<PassDelta> opt_passes;
   /// Resolved kernel tier the run executed with ("scalar" | "simd").
   std::string kernel;
-
-  // -- compile side (copied from the plan; identical every execution) -
   std::size_t parts = 0;
   std::size_t inner_parts = 0;
   unsigned ranks = 0;              // 0 for single-node targets
-  double compile_seconds = 0.0;    // full wall cost of Engine::compile()
-  double partition_seconds = 0.0;  // partitioning share of compile
 
-  // -- execute side: single-node gather-execute-scatter breakdown -----
-  double gather_seconds = 0.0;
-  double apply_seconds = 0.0;      // gate execution inside inner vectors
-  double scatter_seconds = 0.0;
-  Index outer_bytes_moved = 0;
-  Index inner_bytes_touched = 0;
-  double flops = 0.0;
-
-  // -- execute side: distributed accounting ---------------------------
-  double compute_seconds = 0.0;    // shard-local apply wall, summed
-  dist::CommStats comm;            // modeled network cost
-  /// One (modeled comm, measured compute) pair per part, execution order.
-  std::vector<std::pair<double, double>> part_times;
-  double measured_comm_seconds = 0.0;
-  double measured_wall_seconds = 0.0;
-  double measured_overlap_seconds = 0.0;
-
-  // -- execute side: totals and outputs -------------------------------
-  /// Measured wall-clock seconds of this execute() call (simulation
-  /// phase; excludes shots/observable post-processing).
-  double execute_seconds = 0.0;
+  // -- outputs --------------------------------------------------------
   double norm = 0.0;
   sv::StateVector state;           // final state (gathered when sharded)
   std::vector<Index> samples;      // ExecOptions::shots outcomes
@@ -198,22 +174,18 @@ struct Result {
   /// for concrete plans. Serialized by to_json() as "params".
   ParamBinding params;
 
-  /// Flat per-phase metrics (trace::MetricsRegistry naming, `module.noun`
-  /// keys): the plan's compile-phase breakdown ("compile.*") merged with
-  /// this execution's phase numbers — per-step exchange/apply
-  /// distributions on the distributed targets, gather/apply/scatter
-  /// seconds on the hierarchical ones. Serialized by to_json() as
-  /// "metrics" on every target; keys vary by target, values are counts,
-  /// seconds, or bytes per the key's suffix.
+  /// Every measured or modeled number of the execution, in
+  /// trace::MetricsRegistry flat naming (`module.noun`; distributions
+  /// expand to `.count/.min/.max/.sum/.mean`). The plan's compile-phase
+  /// breakdown ("compile.*") is merged with what the target's executor
+  /// recorded; docs/ARCHITECTURE.md ("Metric keys") lists the keys per
+  /// target. Serialized by to_json() as "metrics".
   std::map<std::string, double> metrics;
 
-  /// Modeled serial total: compute + slowest-host comm for distributed
-  /// targets, the gather/apply/scatter sum otherwise.
+  /// Modeled serial total read from `metrics`: apply.seconds.sum +
+  /// exchange.modeled_seconds.sum on the sharded targets (compute plus
+  /// slowest-host comm), gather + apply + scatter seconds otherwise.
   double total_seconds() const;
-  /// Pipelined estimate over part_times (falls back to total_seconds()).
-  double total_seconds_overlapped() const;
-  /// Fraction of total_seconds() spent communicating, in [0, 1].
-  double comm_ratio() const;
   /// The k most frequent shot outcomes, count-descending — the one
   /// definition shared by to_json() and the CLI's text report.
   std::vector<std::pair<double, Index>> top_counts(std::size_t k) const;

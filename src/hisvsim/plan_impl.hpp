@@ -54,10 +54,6 @@ struct PlanImpl {
   /// and the resulting invariant enforced — only in checked builds.
   bool norm_preserving = false;
   double compile_seconds = 0.0;
-  double partition_seconds = 0.0;
-  std::size_t parts = 0;
-  std::size_t inner_parts = 0;
-  unsigned ranks = 0;  // 0 for single-node targets
   /// Compile-phase breakdown ("compile.*" keys, trace::MetricsRegistry
   /// flat() naming) — written once by compile like every other field, and
   /// merged into each execution's Result::metrics.

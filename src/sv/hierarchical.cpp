@@ -93,7 +93,7 @@ bool fans_out(unsigned part_width, Index cosets, unsigned threads) {
 
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
               std::span<const Qubit> part_qubits, StateVector& outer,
-              HierarchicalStats& stats, const KernelOps* ops) {
+              std::map<std::string, double>* metrics, const KernelOps* ops) {
   const KernelOps& kops = ops != nullptr ? *ops : kernel_ops();
   // Per-part granularity; the gather/exec/scatter iterations inside are
   // far too hot for spans — the Stopwatch totals below cover those.
@@ -152,6 +152,7 @@ void run_part(const Circuit& c, std::span<const std::size_t> gates,
                                  iterations * (b + 1) / workers, inners[b]);
       },
       /*grain=*/1);
+  if (metrics == nullptr) return;
   // The workers' stopwatches overlap in time: scale their sums so that the
   // three phases add up to the part's wall time.
   PhaseSeconds sum;
@@ -163,34 +164,34 @@ void run_part(const Circuit& c, std::span<const std::size_t> gates,
   const double busy = sum.gather + sum.apply + sum.scatter;
   const double scale = busy > 0.0 ? wall.seconds() / busy : 0.0;
 
-  stats.parts += 1;
-  stats.gather_seconds += sum.gather * scale;
-  stats.execute_seconds += sum.apply * scale;
-  stats.scatter_seconds += sum.scatter * scale;
-  stats.outer_bytes_moved += 2 * outer.bytes();  // gather read + scatter write
-  stats.inner_bytes_touched +=
-      static_cast<Index>(gates.size()) * 2 * inners[0].bytes() * iterations;
+  std::map<std::string, double>& m = *metrics;
+  m["gather.seconds"] += sum.gather * scale;
+  m["apply.seconds"] += sum.apply * scale;
+  m["scatter.seconds"] += sum.scatter * scale;
+  // gather read + scatter write
+  m["sv.outer_bytes_moved"] += static_cast<double>(2 * outer.bytes());
+  m["sv.inner_bytes_touched"] += static_cast<double>(
+      static_cast<Index>(gates.size()) * 2 * inners[0].bytes() * iterations);
+  double& flops = m["sv.flops"];
   for (std::size_t gi : gates)
-    stats.flops +=
-        gate_flops(c.gate(gi), w) * static_cast<double>(iterations);
+    flops += gate_flops(c.gate(gi), w) * static_cast<double>(iterations);
 }
 
-HierarchicalStats HierarchicalSimulator::run(
-    const Circuit& c, const partition::Partitioning& parts,
-    StateVector& state, const KernelOps* ops) const {
+void HierarchicalSimulator::run(const Circuit& c,
+                                const partition::Partitioning& parts,
+                                StateVector& state,
+                                std::map<std::string, double>* metrics,
+                                const KernelOps* ops) const {
   HISIM_CHECK(state.num_qubits() == c.num_qubits());
-  HierarchicalStats stats;
   for (const partition::Part& p : parts.parts)
-    run_part(c, p.gates, p.qubits, state, stats, ops);
-  return stats;
+    run_part(c, p.gates, p.qubits, state, metrics, ops);
 }
 
 StateVector HierarchicalSimulator::simulate(
     const Circuit& c, const partition::Partitioning& parts,
-    HierarchicalStats* stats) const {
+    std::map<std::string, double>* metrics) const {
   StateVector state(c.num_qubits());
-  HierarchicalStats s = run(c, parts, state);
-  if (stats) *stats = s;
+  run(c, parts, state, metrics);
   return state;
 }
 

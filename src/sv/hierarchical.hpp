@@ -1,5 +1,8 @@
 #pragma once
 
+#include <map>
+#include <string>
+
 #include "partition/partition.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
@@ -21,45 +24,24 @@ inline constexpr unsigned kInnerBudgetQubits = 21;
 /// the larger of the budget and one 2^part_width vector.
 bool fans_out(unsigned part_width, Index cosets, unsigned threads);
 
-/// Per-run accounting of the Gather-Execute-Scatter model. Byte counts
-/// follow the paper's memory-traffic reasoning: gather/scatter stream the
-/// full outer state vector once each per part, while gate execution stays
-/// inside the (cache-sized) inner vectors.
-///
-/// The three phase times are wall-clock: per part, the sums of the
-/// workers' stopwatches are scaled to the part's wall time, so
-/// total_seconds() never exceeds the run's wall time.
-struct HierarchicalStats {
-  std::size_t parts = 0;
-  double gather_seconds = 0.0;
-  double execute_seconds = 0.0;
-  double scatter_seconds = 0.0;
-  Index outer_bytes_moved = 0;      // bytes read+written on the outer vector
-  Index inner_bytes_touched = 0;    // bytes processed inside inner vectors
-  double flops = 0.0;
-
-  double total_seconds() const {
-    return gather_seconds + execute_seconds + scatter_seconds;
-  }
-};
-
 /// Hierarchical simulator implementing Algorithm 1: for each part, for
 /// every assignment of the qubits outside the part, gather the matching
 /// amplitudes into an inner state vector, run the part's gates there (with
 /// qubits remapped to inner slots), and scatter the results back.
 class HierarchicalSimulator {
  public:
-  /// `parts` must be a valid partitioning of `c`. `ops` selects the
-  /// kernel tier for the inner applies (nullptr = the Auto-resolved
-  /// default).
-  HierarchicalStats run(const Circuit& c,
-                        const partition::Partitioning& parts,
-                        StateVector& state,
-                        const KernelOps* ops = nullptr) const;
+  /// `parts` must be a valid partitioning of `c`. Each part runs through
+  /// run_part, which adds its accounting to `metrics` (nullptr records
+  /// nothing). `ops` selects the kernel tier for the inner applies
+  /// (nullptr = the Auto-resolved default).
+  void run(const Circuit& c, const partition::Partitioning& parts,
+           StateVector& state,
+           std::map<std::string, double>* metrics = nullptr,
+           const KernelOps* ops = nullptr) const;
 
   StateVector simulate(const Circuit& c,
                        const partition::Partitioning& parts,
-                       HierarchicalStats* stats = nullptr) const;
+                       std::map<std::string, double>* metrics = nullptr) const;
 };
 
 /// Executes one part against `outer`: the gather-execute-scatter cycle of
@@ -70,8 +52,17 @@ class HierarchicalSimulator {
 /// Exposed for reuse by the distributed executor's second level (each
 /// shard runs its step's inner parts through it); called from inside a
 /// pool region, it runs inline with one inner vector.
+///
+/// Adds the part's accounting to `metrics` (nullptr records nothing), so
+/// keys sum over a run's parts: gather.seconds, apply.seconds and
+/// scatter.seconds (the workers' stopwatch sums scaled to the part's wall
+/// time, so they never add up to more than the run's wall time);
+/// sv.outer_bytes_moved (gather reads and scatter writes the whole outer
+/// vector); sv.inner_bytes_touched (bytes the gates process inside the
+/// cache-sized inner vectors); sv.flops.
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
               std::span<const Qubit> part_qubits, StateVector& outer,
-              HierarchicalStats& stats, const KernelOps* ops = nullptr);
+              std::map<std::string, double>* metrics = nullptr,
+              const KernelOps* ops = nullptr);
 
 }  // namespace hisim::sv

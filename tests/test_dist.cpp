@@ -106,12 +106,13 @@ TEST(Distributed, AtMostOneRedistributionPerPart) {
   opt.process_qubits = 2;
   const DistPlan plan = compile_plan(c, opt);
   DistState state(8, 2);
-  const DistRunReport rep = execute_plan(plan, state, {});
+  std::map<std::string, double> m;
+  execute_plan(plan, state, {}, &m);
   // A part whose qubits are already local (the first one under the
   // identity layout) costs no exchange, so exchanges <= parts.
   EXPECT_GT(plan.num_parts(), 1u);
-  EXPECT_LE(rep.comm.exchanges, plan.num_parts());
-  EXPECT_GE(rep.comm.exchanges, 1u);
+  EXPECT_LE(m.at("exchange.count"), static_cast<double>(plan.num_parts()));
+  EXPECT_GE(m.at("exchange.count"), 1.0);
 }
 
 TEST(Distributed, CommDecreasesWithFewerParts) {
@@ -123,10 +124,11 @@ TEST(Distributed, CommDecreasesWithFewerParts) {
   dagp.part.strategy = partition::Strategy::DagP;
   const DistPlan plan_nat = compile_plan(c, nat);
   const DistPlan plan_dagp = compile_plan(c, dagp);
-  const auto rep_nat = execute_plan(plan_nat, s1, {});
-  const auto rep_dagp = execute_plan(plan_dagp, s2, {});
+  std::map<std::string, double> m_nat, m_dagp;
+  execute_plan(plan_nat, s1, {}, &m_nat);
+  execute_plan(plan_dagp, s2, {}, &m_dagp);
   EXPECT_LE(plan_dagp.num_parts(), plan_nat.num_parts());
-  EXPECT_LE(rep_dagp.comm.exchanges, rep_nat.comm.exchanges);
+  EXPECT_LE(m_dagp.at("exchange.count"), m_nat.at("exchange.count"));
 }
 
 TEST(DistState, RedistributeRejectsMismatchedTarget) {
@@ -166,12 +168,12 @@ TEST(Distributed, ThreadedBackendMatchesFlatReference) {
   DistState state(9, 2);
   DistOptions opt;
   opt.process_qubits = 2;
-  const DistRunReport rep =
-      execute_plan(compile_plan(c, opt), state, {}, &threaded_backend());
+  std::map<std::string, double> m;
+  execute_plan(compile_plan(c, opt), state, {}, &m, &threaded_backend());
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
   EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10);
-  EXPECT_GT(rep.measured_wall_seconds, 0.0);
-  EXPECT_GE(rep.measured_overlap_seconds, 0.0);
+  EXPECT_GT(m.at("step.wall_seconds.sum"), 0.0);
+  EXPECT_GE(m.at("exchange.overlap_seconds.sum"), 0.0);
 }
 
 TEST(RunBits, CountsFixedLowSlotsUpToTheCap) {

@@ -64,8 +64,7 @@ TEST(EdgeCase, PartHoldingEveryQubit) {
   ASSERT_EQ(parts.num_parts(), 1u);
   // Inner state vector == outer: gather degenerates to a copy.
   sv::StateVector state(6);
-  sv::HierarchicalStats stats;
-  sv::run_part(c, parts.parts[0].gates, parts.parts[0].qubits, state, stats);
+  sv::run_part(c, parts.parts[0].gates, parts.parts[0].qubits, state);
   EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
 }
 
@@ -122,11 +121,12 @@ TEST(EdgeCase, IqsAllGlobalGates) {
   c.add(Gate::cx(4, 5));
   c.add(Gate::x(5));
   dist::DistState state(6, 2);
-  const auto rep = dist::IqsBaselineSimulator().run(c, state);
+  std::map<std::string, double> m;
+  dist::IqsBaselineSimulator().run(c, state, {}, &m);
   EXPECT_LT(state.to_state_vector().max_abs_diff(
                 sv::FlatSimulator().simulate(c)),
             1e-10);
-  EXPECT_GE(rep.comm.exchanges, 3u);
+  EXPECT_GE(m.at("exchange.count"), 3.0);
 }
 
 TEST(EdgeCase, IqsBothGlobalSwap) {

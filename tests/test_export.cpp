@@ -57,12 +57,10 @@ TEST(Export, RemappedPartsReproduceFullState) {
   const auto parts = make_dagp(c, 5);
   const auto exported = export_parts(c, parts);
   sv::StateVector state(c.num_qubits());
-  sv::HierarchicalStats stats;
   for (std::size_t pi = 0; pi < exported.size(); ++pi) {
     // Run the remapped circuit against the outer vector via run_part on
     // the original labels (the export must agree with that path).
-    sv::run_part(c, parts.parts[pi].gates, parts.parts[pi].qubits, state,
-                 stats);
+    sv::run_part(c, parts.parts[pi].gates, parts.parts[pi].qubits, state);
   }
   EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
 }

@@ -44,12 +44,13 @@ TEST_P(HierarchicalMatchesFlat, SameAmplitudes) {
   partition::validate(d, parts);
 
   const StateVector flat = FlatSimulator().simulate(c);
-  HierarchicalStats stats;
-  const StateVector hier = HierarchicalSimulator().simulate(c, parts, &stats);
+  std::map<std::string, double> m;
+  const StateVector hier = HierarchicalSimulator().simulate(c, parts, &m);
   EXPECT_LT(hier.max_abs_diff(flat), 1e-10)
       << tc.name << " " << partition::strategy_name(tc.strategy);
-  EXPECT_EQ(stats.parts, parts.num_parts());
-  EXPECT_GT(stats.outer_bytes_moved, 0u);
+  // Every part gathers and scatters the whole outer vector once.
+  EXPECT_EQ(m.at("sv.outer_bytes_moved"),
+            static_cast<double>(2 * parts.num_parts() * flat.bytes()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -93,9 +94,8 @@ TEST(Hierarchical, RunPartSweepsWholeOuter) {
   const partition::Partitioning p = partition::partition_nat(d, 2);
   StateVector state(5);
   apply_gate(state, Gate::x(4));  // pre-set qubit 4
-  HierarchicalStats stats;
   for (const auto& part : p.parts)
-    run_part(c, part.gates, part.qubits, state, stats);
+    run_part(c, part.gates, part.qubits, state);
   EXPECT_NEAR(state.prob_one(4), 1.0, 1e-12);
   EXPECT_NEAR(state.prob_one(1), 0.5, 1e-12);
   EXPECT_NEAR(state.prob_one(3), 0.5, 1e-12);
@@ -107,10 +107,11 @@ TEST(Hierarchical, StatsTrafficScalesWithParts) {
   const partition::Partitioning coarse = partition::partition_nat(d, 10);
   const partition::Partitioning fine = partition::partition_nat(d, 3);
   StateVector s1(10), s2(10);
-  const auto st1 = HierarchicalSimulator().run(c, coarse, s1);
-  const auto st2 = HierarchicalSimulator().run(c, fine, s2);
-  EXPECT_GT(st2.parts, st1.parts);
-  EXPECT_GT(st2.outer_bytes_moved, st1.outer_bytes_moved);
+  std::map<std::string, double> m1, m2;
+  HierarchicalSimulator().run(c, coarse, s1, &m1);
+  HierarchicalSimulator().run(c, fine, s2, &m2);
+  ASSERT_GT(fine.num_parts(), coarse.num_parts());
+  EXPECT_GT(m2.at("sv.outer_bytes_moved"), m1.at("sv.outer_bytes_moved"));
   EXPECT_LT(s1.max_abs_diff(s2), 1e-10);
 }
 
@@ -119,8 +120,10 @@ TEST(Hierarchical, FlopsAccounted) {
   const dag::CircuitDag d(c);
   const partition::Partitioning p = partition::partition_nat(d, 4);
   StateVector s(8);
-  const auto stats = HierarchicalSimulator().run(c, p, s);
-  EXPECT_GT(stats.flops, 0.0);
+  std::map<std::string, double> m;
+  HierarchicalSimulator().run(c, p, s, &m);
+  EXPECT_GT(m.at("sv.flops"), 0.0);
+  EXPECT_GT(m.at("sv.inner_bytes_touched"), 0.0);
 }
 
 TEST(Hierarchical, FanOutRule) {
@@ -196,11 +199,10 @@ TEST(Hierarchical, SplitCopyBitIdenticalAcrossThreadCounts) {
     FlatSimulator().run(c, flat);
 
     StateVector one = init, four = init;
-    HierarchicalStats stats;
     parallel::set_num_threads(1);
-    run_part(c, gates, part_qubits, one, stats);
+    run_part(c, gates, part_qubits, one);
     parallel::set_num_threads(4);
-    run_part(c, gates, part_qubits, four, stats);
+    run_part(c, gates, part_qubits, four);
     parallel::set_num_threads(0);
 
     expect_bit_identical(one, four);

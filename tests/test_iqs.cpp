@@ -45,9 +45,10 @@ TEST(Iqs, LocalGatesAreFree) {
   c.add(Gate::cx(0, 3));
   c.add(Gate::rz(2, 0.5));
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.bytes_total, 0u);
-  EXPECT_EQ(rep.comm.exchanges, 0u);
+  std::map<std::string, double> m;
+  IqsBaselineSimulator().run(c, state, {}, &m);
+  EXPECT_EQ(m.at("exchange.bytes"), 0.0);
+  EXPECT_EQ(m.at("exchange.count"), 0.0);
 }
 
 TEST(Iqs, DiagonalGlobalGatesAreFree) {
@@ -57,8 +58,9 @@ TEST(Iqs, DiagonalGlobalGatesAreFree) {
   c.add(Gate::cz(4, 5));      // diagonal two-qubit: free
   c.add(Gate::cp(0, 5, 0.3)); // diagonal: free
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.exchanges, 1u);
+  std::map<std::string, double> m;
+  IqsBaselineSimulator().run(c, state, {}, &m);
+  EXPECT_EQ(m.at("exchange.count"), 1.0);
 }
 
 TEST(Iqs, GlobalControlLocalTargetIsFree) {
@@ -66,8 +68,9 @@ TEST(Iqs, GlobalControlLocalTargetIsFree) {
   c.add(Gate::h(0));
   c.add(Gate::cx(5, 0));  // control global, target local: no comm
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.exchanges, 0u);
+  std::map<std::string, double> m;
+  IqsBaselineSimulator().run(c, state, {}, &m);
+  EXPECT_EQ(m.at("exchange.count"), 0.0);
 }
 
 TEST(Iqs, GlobalTargetCostsExchange) {
@@ -75,9 +78,10 @@ TEST(Iqs, GlobalTargetCostsExchange) {
   c.add(Gate::h(0));
   c.add(Gate::cx(0, 5));  // target global: pairwise exchange
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.exchanges, 1u);
-  EXPECT_GT(rep.comm.bytes_total, 0u);
+  std::map<std::string, double> m;
+  IqsBaselineSimulator().run(c, state, {}, &m);
+  EXPECT_EQ(m.at("exchange.count"), 1.0);
+  EXPECT_GT(m.at("exchange.bytes"), 0.0);
 }
 
 TEST(Iqs, HisvsimBeatsIqsOnCommForDeepCircuits) {
@@ -88,12 +92,14 @@ TEST(Iqs, HisvsimBeatsIqsOnCommForDeepCircuits) {
   const Circuit c = circuits::bv(9, 0xFF);
   const unsigned p = 2;
   DistState s1(9, p), s2(9, p);
-  const IqsRunReport iqs = IqsBaselineSimulator().run(c, s1);
+  std::map<std::string, double> iqs, his;
+  IqsBaselineSimulator().run(c, s1, {}, &iqs);
   DistOptions opt;
   opt.process_qubits = p;
-  const DistRunReport his = execute_plan(compile_plan(c, opt), s2, {});
+  execute_plan(compile_plan(c, opt), s2, {}, &his);
   EXPECT_LT(s1.to_state_vector().max_abs_diff(s2.to_state_vector()), 1e-10);
-  EXPECT_LT(his.comm.modeled_max_seconds, iqs.comm.modeled_max_seconds);
+  EXPECT_LT(his.at("exchange.modeled_seconds.sum"),
+            iqs.at("exchange.modeled_seconds.sum"));
 }
 
 TEST(Iqs, RequiresIdentityLayout) {

@@ -375,8 +375,10 @@ TEST(NoiseTrajectories, DistributedMatchesSingleNodeStatistics) {
   const ExecutionPlan dplan = Engine::compile(c, dist);
   const Result ideal = dplan.execute();
   const Result noisy = dplan.execute_trajectory(a.seeds[0]);
-  EXPECT_EQ(ideal.comm.bytes_total, noisy.comm.bytes_total);
-  EXPECT_EQ(ideal.comm.exchanges, noisy.comm.exchanges);
+  EXPECT_EQ(ideal.metrics.at("exchange.bytes"),
+            noisy.metrics.at("exchange.bytes"));
+  EXPECT_EQ(ideal.metrics.at("exchange.count"),
+            noisy.metrics.at("exchange.count"));
 }
 
 // One shared plan, several threads each running whole trajectory sets —

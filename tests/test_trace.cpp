@@ -64,6 +64,8 @@ TEST(Metrics, DistributionMath) {
 TEST(Metrics, FlatNamingAndEmptyDistributionOmission) {
   MetricsRegistry reg;
   reg.counter("pool.tasks").add(7);
+  // A count past 10^9 (a 20-qubit run's outer traffic) prints exactly.
+  reg.counter("sv.outer_bytes_moved").add(1543503872);
   reg.distribution("apply.seconds").record(0.5);
   reg.distribution("never.recorded");  // zero-count: must not appear
   const std::map<std::string, double> flat = reg.flat();
@@ -76,6 +78,9 @@ TEST(Metrics, FlatNamingAndEmptyDistributionOmission) {
   EXPECT_EQ(flat.count("never.recorded.count"), 0u);
   const std::string json = trace::metrics_to_json(flat);
   EXPECT_NE(json.find("\"pool.tasks\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"sv.outer_bytes_moved\": 1543503872"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Trace, DisabledModeCollectsNothing) {
@@ -223,20 +228,56 @@ std::vector<Options> all_target_options() {
   return out;
 }
 
+/// Result::metrics is the one report: every consumer (bench/e2e's
+/// metric(), the paper benches, the CLI) reads these keys, and a missing
+/// key would read as zero there. Pins the key set per target and the
+/// relations between the derived totals and the keys.
 TEST(Trace, MetricsOnEveryTarget) {
-  const Circuit c = circuits::make_by_name("bv", 8);
-  for (const Options& o : all_target_options()) {
-    const Result r = Engine::compile(c, o).execute();
-    // The stable compile keys exist on every target (zero when a phase
-    // was skipped), and every execution stamps its wall time.
-    EXPECT_EQ(r.metrics.count("compile.total_seconds"), 1u)
-        << target_name(o.target);
-    EXPECT_EQ(r.metrics.count("compile.partition_seconds"), 1u)
-        << target_name(o.target);
-    EXPECT_EQ(r.metrics.count("execute.wall_seconds"), 1u)
-        << target_name(o.target);
-    EXPECT_NE(r.to_json().find("\"metrics\""), std::string::npos)
-        << target_name(o.target);
+  for (const char* name : {"bv", "qft"}) {
+    const Circuit c = circuits::make_by_name(name, 8);
+    for (const Options& o : all_target_options()) {
+      SCOPED_TRACE(std::string(name) + " on " + target_name(o.target));
+      const Result r = Engine::compile(c, o).execute();
+      const auto& m = r.metrics;
+      const auto expect_keys = [&m](std::initializer_list<const char*> keys) {
+        for (const char* key : keys) EXPECT_EQ(m.count(key), 1u) << key;
+      };
+      const auto get = [&m](const char* key) {
+        const auto it = m.find(key);
+        return it == m.end() ? 0.0 : it->second;
+      };
+      // The stable compile keys exist on every target (zero when a phase
+      // was skipped), and every execution stamps its wall time.
+      expect_keys({"compile.total_seconds", "compile.partition_seconds",
+                   "compile.optimize_seconds", "compile.gates_removed",
+                   "execute.wall_seconds"});
+      EXPECT_NE(r.to_json().find("\"metrics\": {"), std::string::npos);
+
+      if (!target_is_distributed(o.target)) {
+        expect_keys({"apply.seconds"});
+        if (o.target == Target::Hierarchical)
+          expect_keys({"gather.seconds", "scatter.seconds",
+                       "sv.outer_bytes_moved", "sv.inner_bytes_touched",
+                       "sv.flops"});
+        EXPECT_EQ(r.total_seconds(), get("gather.seconds") +
+                                         get("apply.seconds") +
+                                         get("scatter.seconds"));
+        continue;
+      }
+      // Sharded: the same keys on the distributed executor and the IQS
+      // baseline, plus the final shard gather the engine times.
+      expect_keys({"apply.seconds.sum", "exchange.count", "exchange.bytes",
+                   "exchange.messages", "exchange.modeled_seconds.sum",
+                   "exchange.modeled_avg_seconds", "gather.seconds"});
+      const double comm = m.at("exchange.modeled_seconds.sum");
+      EXPECT_EQ(r.total_seconds(), m.at("apply.seconds.sum") + comm);
+      EXPECT_GE(comm, 0.0);
+      EXPECT_LE(comm, r.total_seconds());  // comm share in [0, 1]
+      if (o.target == Target::IqsBaseline) continue;
+      expect_keys({"exchange.measured_seconds.sum", "step.wall_seconds.sum",
+                   "exchange.overlap_seconds.sum", "step.pipelined_seconds"});
+      EXPECT_LE(m.at("step.pipelined_seconds"), r.total_seconds() + 1e-9);
+    }
   }
 }
 

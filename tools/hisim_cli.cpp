@@ -181,18 +181,23 @@ int run_traced(const std::string& spec, const cli::Flags& f) {
     std::printf("%s\n", r.to_json().c_str());
     return 0;
   }
-  if (r.ranks > 0) {
-    std::printf(
-        "target=%s parts=%zu total=%.4fs norm=%.12f "
-        "comm=%.4fs wall=%.4fs overlap=%.4fs\n",
-        target_name(r.target), r.parts, r.total_seconds(), r.norm,
-        r.measured_comm_seconds, r.measured_wall_seconds,
-        r.measured_overlap_seconds);
-  } else {
-    std::printf("target=%s parts=%zu compile=%.4fs total=%.4fs norm=%.12f\n",
-                target_name(r.target), r.parts, r.compile_seconds,
-                r.total_seconds(), r.norm);
+  std::printf("target=%s parts=%zu compile=%.4fs total=%.4fs norm=%.12f",
+              target_name(r.target), r.parts,
+              r.metrics.at("compile.total_seconds"), r.total_seconds(),
+              r.norm);
+  if (r.metrics.count("step.wall_seconds.sum") != 0) {
+    // The distributed executor's measured pipeline; a step that moved
+    // nothing records no exchange or overlap seconds.
+    const auto seconds = [&r](const char* key) {
+      const auto it = r.metrics.find(key);
+      return it == r.metrics.end() ? 0.0 : it->second;
+    };
+    std::printf(" comm=%.4fs wall=%.4fs overlap=%.4fs",
+                seconds("exchange.measured_seconds.sum"),
+                seconds("step.wall_seconds.sum"),
+                seconds("exchange.overlap_seconds.sum"));
   }
+  std::printf("\n");
 
   for (std::size_t i = 0; i < r.observables.size(); ++i)
     std::printf("observable %s = %.6f\n",
