@@ -175,6 +175,18 @@ void run_indexed_on_pool(std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+/// ExecOptions preconditions independent of the binding: the initial
+/// state's shape and the observables' qubits. execute_sweep and
+/// execute_trajectories check them on the calling thread before any work
+/// fans out; every execute checks them before it simulates.
+void check_exec_options(const ExecOptions& opts, unsigned n) {
+  if (opts.initial_state)
+    HISIM_CHECK_MSG(opts.initial_state->num_qubits() == n,
+                    "initial state has " << opts.initial_state->num_qubits()
+                                         << " qubits, plan expects " << n);
+  for (const sv::PauliString& p : opts.observables) p.check(n);
+}
+
 }  // namespace
 
 double Result::total_seconds() const {
@@ -468,6 +480,7 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   std::vector<double> param_values;
   if (!plan.param_names.empty() || !opts.bindings.empty())
     param_values = resolve_binding(plan.param_names, opts.bindings);
+  check_exec_options(opts, n);
 
   // Materialize the executed circuit for the targets that apply it whole:
   // bind symbolic angles, then substitute the trajectory's sampled
@@ -517,15 +530,10 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   sv::StateVector state;
   Timer wall;
   if (!target_is_distributed(opt.target)) {
-    if (opts.initial_state) {
-      HISIM_CHECK_MSG(opts.initial_state->num_qubits() == n,
-                      "initial state has "
-                          << opts.initial_state->num_qubits()
-                          << " qubits, plan expects " << n);
+    if (opts.initial_state)
       state = *opts.initial_state;
-    } else {
+    else
       state = sv::StateVector(n);
-    }
     if (opt.target == Target::Flat) {
       Timer t;
       trace::TraceSpan span("apply", "sv");
@@ -556,6 +564,7 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
       state = st.to_state_vector();
       r.metrics["gather.seconds"] = gather_timer.seconds();
     } else {
+      Timer observe;
       double norm = 0.0;
       for (unsigned rk = 0; rk < st.num_ranks(); ++rk)
         norm += st.local(rk).norm();
@@ -564,10 +573,12 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
         sv::validate_norm_preserved(
             opts.initial_state ? opts.initial_state->norm() : 1.0, r.norm,
             "sharded execute (report-only)");
+      r.metrics["observe.seconds"] = observe.seconds();
       return r;
     }
   }
 
+  Timer observe;
   r.norm = state.norm();
   // Checked builds: a unitary segment (no sampled trajectory operators, no
   // non-unitary matrices) must preserve the initial norm — a violation
@@ -587,6 +598,7 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   r.observables.reserve(opts.observables.size());
   for (const sv::PauliString& p : opts.observables)
     r.observables.push_back(sv::expectation(state, p));
+  r.metrics["observe.seconds"] = observe.seconds();
   if (opts.want_state) r.state = std::move(state);
   return r;
 }
@@ -606,12 +618,7 @@ std::vector<Result> ExecutionPlan::execute_sweep(
   }
 
   // Shared ExecOptions preconditions fail here too, not on a worker.
-  if (opts.initial_state) {
-    const unsigned n = impl_->executed_circuit().num_qubits();
-    HISIM_CHECK_MSG(opts.initial_state->num_qubits() == n,
-                    "initial state has " << opts.initial_state->num_qubits()
-                                         << " qubits, plan expects " << n);
-  }
+  check_exec_options(opts, impl_->executed_circuit().num_qubits());
 
   // Each point is an independent execute() on private state, so the
   // points fan out over the worker pool; for_range regions issued inside
@@ -663,17 +670,11 @@ NoisyResult ExecutionPlan::execute_trajectories(
   HISIM_CHECK_MSG(num > 0, "execute_trajectories() needs >= 1 trajectory");
 
   // Shared preconditions fail on the calling thread, never on a worker
-  // (same policy as execute_sweep): binding coverage and the initial
-  // state's shape are identical for every trajectory.
+  // (same policy as execute_sweep): binding coverage, the initial state's
+  // shape and the observables are identical for every trajectory.
   if (!plan.param_names.empty() || !opts.exec.bindings.empty())
     (void)resolve_binding(plan.param_names, opts.exec.bindings);
-  if (opts.exec.initial_state) {
-    const unsigned n = plan.executed_circuit().num_qubits();
-    HISIM_CHECK_MSG(opts.exec.initial_state->num_qubits() == n,
-                    "initial state has "
-                        << opts.exec.initial_state->num_qubits()
-                        << " qubits, plan expects " << n);
-  }
+  check_exec_options(opts.exec, plan.executed_circuit().num_qubits());
 
   const std::size_t k = opts.exec.observables.size();
   NoisyResult nr;

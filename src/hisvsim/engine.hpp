@@ -125,7 +125,9 @@ struct ExecOptions {
   std::size_t shots = 0;
   std::uint64_t shot_seed = 0xC11;
   /// Pauli-string observables evaluated on the final state; one value per
-  /// entry lands in Result::observables.
+  /// entry lands in Result::observables. Each must act on distinct qubits
+  /// of the register (PauliString::check), or execute throws before it
+  /// simulates.
   std::vector<sv::PauliString> observables;
   /// Values for the plan's symbolic parameters (see Circuit::param), by
   /// name. A parameterized plan requires every parameter bound — an

@@ -11,26 +11,6 @@
 #include "common/parallel.hpp"
 
 namespace hisim::sv {
-namespace {
-
-/// Fixed, machine-independent block grid for deterministic parallel
-/// reductions over amplitude ranges: per-block partials are computed
-/// concurrently and merged serially in block order, so the floating-point
-/// summation order — and therefore every downstream bit (pooled counts,
-/// shot outcomes) — is identical no matter how many workers ran.
-struct BlockGrid {
-  Index blocks;
-  Index per;  // amplitudes per block (last block may be short)
-};
-
-BlockGrid block_grid(Index n, Index max_blocks = 256) {
-  constexpr Index kGrain = Index{1} << 14;
-  Index blocks = std::min((n + kGrain - 1) / kGrain, max_blocks);
-  if (blocks == 0) blocks = 1;
-  return {blocks, (n + blocks - 1) / blocks};
-}
-
-}  // namespace
 
 PauliString PauliString::parse(const std::string& text) {
   PauliString out;
@@ -89,17 +69,34 @@ std::string PauliString::to_string() const {
   return os.str();
 }
 
+void PauliString::check(unsigned num_qubits) const {
+  Index seen = 0;
+  for (const auto& [q, op] : factors) {
+    HISIM_CHECK_MSG(q < num_qubits, "Pauli factor on qubit "
+                                        << q << " outside the " << num_qubits
+                                        << "-qubit register");
+    const Index bit = Index{1} << q;
+    HISIM_CHECK_MSG((seen & bit) == 0,
+                    "qubit " << q << " repeated in Pauli string "
+                             << to_string());
+    seen |= bit;
+  }
+}
+
 double expectation(const StateVector& state, const PauliString& p) {
+  p.check(state.num_qubits());
   // P|i> = phase(i) |i ^ flip_mask>, with phase from Z and Y factors.
   Index flip = 0, zmask = 0, ymask = 0;
   for (const auto& [q, op] : p.factors) {
-    HISIM_CHECK(q < state.num_qubits());
     switch (op) {
       case Pauli::X: flip |= Index{1} << q; break;
       case Pauli::Y: flip |= Index{1} << q; ymask |= Index{1} << q; break;
       case Pauli::Z: zmask |= Index{1} << q; break;
     }
   }
+  // Diagonal string: no bit flip, so <psi|P|psi> is a signed sum of
+  // probabilities, one deterministic pass over the block grid.
+  if (flip == 0) return signed_probability_sum(state, zmask);
   const unsigned ny = bits::popcount(ymask);
   // Global factor from Y = i * X * Z decomposition: each Y contributes a
   // factor of i and acts as X (bit flip) combined with Z (sign on the

@@ -20,9 +20,18 @@ struct PauliString {
   /// qubit 0). Throws on malformed input.
   static PauliString parse(const std::string& text);
   std::string to_string() const;
+
+  /// Throws Error, naming the qubit, unless every factor acts on a
+  /// distinct qubit below `num_qubits`. parse() rejects repeats itself;
+  /// this also covers factor lists built by hand.
+  void check(unsigned num_qubits) const;
 };
 
-/// <state| P |state> (always real for Hermitian P). O(2^n).
+/// <state| P |state> (always real for Hermitian P). O(2^n). Throws as
+/// PauliString::check does. A string of Z factors only (the empty string
+/// included) is signed_probability_sum over its qubits: one pass at
+/// memory speed whose value is the same bits at any thread count, pooled
+/// or inline; the empty string equals state.norm() bit for bit.
 double expectation(const StateVector& state, const PauliString& p);
 
 /// Expectation of a weighted sum of Pauli strings (e.g. an Ising / MaxCut

@@ -5,14 +5,74 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace hisim::sv {
+namespace {
 
-double StateVector::norm() const {
-  double n = 0.0;
-  for (const cplx& a : amps_) n += std::norm(a);
-  return n;
+constexpr Index kChunk = 64;    // amplitudes per sign-table lookup
+constexpr unsigned kLanes = 8;  // accumulators: lane l sums indices ≡ l mod 8
+
+/// One block's share of signed_probability_sum. Chunks of 64 amplitudes
+/// take the sign of their low six index bits from `sign[0]`, and the sign
+/// of the high bits once per chunk by reading `sign[1]` (its negation)
+/// instead. Multiplying by ±1 is exact, so only the lane additions round,
+/// in an order fixed by the indices alone. `lo` is a multiple of 64 when
+/// the block holds a whole chunk (see BlockGrid); the scalar tail covers
+/// states under 64 amplitudes.
+double signed_block_sum(const cplx* amps, Index lo, Index hi, Index zmask,
+                        const double (&sign)[2][kChunk]) {
+  double lane[kLanes] = {};
+  Index i = lo;
+  for (; i + kChunk <= hi; i += kChunk) {
+    const double* s = sign[bits::popcount(i & zmask) & 1u];
+    const cplx* a = amps + i;
+    for (Index j = 0; j < kChunk; j += kLanes)
+      for (unsigned l = 0; l < kLanes; ++l)
+        lane[l] += s[j + l] * std::norm(a[j + l]);
+  }
+  for (; i < hi; ++i)
+    lane[i % kLanes] += sign[bits::popcount(i & zmask & ~(kChunk - 1)) & 1u]
+                            [i % kChunk] *
+                        std::norm(amps[i]);
+  double sum = 0.0;
+  for (double x : lane) sum += x;
+  return sum;
 }
+
+}  // namespace
+
+BlockGrid block_grid(Index n, Index max_blocks) {
+  constexpr Index kGrain = Index{1} << 14;
+  Index blocks = std::min((n + kGrain - 1) / kGrain, max_blocks);
+  if (blocks == 0) blocks = 1;
+  return {blocks, (n + blocks - 1) / blocks};
+}
+
+double signed_probability_sum(const StateVector& state, Index zmask) {
+  double sign[2][kChunk];
+  for (Index j = 0; j < kChunk; ++j) {
+    sign[0][j] = (bits::popcount(j & zmask) & 1u) ? -1.0 : 1.0;
+    sign[1][j] = -sign[0][j];
+  }
+  const Index n = state.size();
+  const BlockGrid grid = block_grid(n);
+  std::vector<double> partial(grid.blocks);
+  parallel::for_range(
+      0, grid.blocks,
+      [&](Index lo, Index hi) {
+        for (Index b = lo; b < hi; ++b)
+          partial[b] =
+              signed_block_sum(state.data(), b * grid.per,
+                               std::min(n, (b + 1) * grid.per), zmask, sign);
+      },
+      /*grain=*/1);
+  double sum = 0.0;
+  for (double x : partial) sum += x;
+  return sum;
+}
+
+double StateVector::norm() const { return signed_probability_sum(*this, 0); }
 
 double StateVector::prob_one(Qubit q) const {
   HISIM_CHECK(q < num_qubits_);

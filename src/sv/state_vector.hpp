@@ -29,7 +29,9 @@ class StateVector {
   cplx* data() { return amps_.data(); }
   const cplx* data() const { return amps_.data(); }
 
-  /// Sum of |a_i|^2 (1.0 for a normalized state).
+  /// Sum of |a_i|^2 (1.0 for a normalized state):
+  /// signed_probability_sum(*this, 0), so the same bits at any thread
+  /// count, pooled or inline.
   double norm() const;
 
   /// Probability of measuring qubit q as 1.
@@ -48,6 +50,28 @@ class StateVector {
   unsigned num_qubits_ = 0;
   std::vector<cplx> amps_;
 };
+
+/// Fixed, machine-independent block grid for deterministic parallel
+/// reductions over a state's amplitudes (norm, expectations, marginals,
+/// sampling): per-block partials are computed concurrently and merged
+/// serially in block order, so the floating-point summation order — and
+/// therefore every downstream bit — is identical no matter how many
+/// workers ran. For a power-of-two `n` and `max_blocks`, `per` is a power
+/// of two, so every block of 64 or more amplitudes starts on a multiple
+/// of 64.
+struct BlockGrid {
+  Index blocks;
+  Index per;  // amplitudes per block (last block may be short)
+};
+
+BlockGrid block_grid(Index n, Index max_blocks = 256);
+
+/// Σ_i (−1)^|i & zmask| · |a_i|^2: the expectation of the Z string on the
+/// qubits of `zmask`, and the norm at zmask = 0. One pass at memory speed
+/// over block_grid(state.size()), pooled when called outside a pool
+/// region and inline inside one; the value is a pure function of the
+/// state and the mask (same bits at any thread count).
+double signed_probability_sum(const StateVector& state, Index zmask);
 
 /// Deep validator (see common/check.hpp): aborts unless `actual` matches
 /// `expected` within the accumulated-rounding tolerance a unitary gate

@@ -442,6 +442,22 @@ TEST(NoiseTrajectories, ValidatesUpFront) {
   const sv::StateVector wrong(5);
   topt.exec.initial_state = &wrong;
   EXPECT_THROW(plan.execute_trajectories(2, topt), Error);
+  // Observables on a repeated or out-of-range qubit, naming it.
+  topt.exec.initial_state = nullptr;
+  for (const sv::PauliString& bad :
+       {sv::PauliString{{{3, sv::Pauli::Y}, {3, sv::Pauli::Y}}},
+        sv::PauliString{{{9, sv::Pauli::Z}}}}) {
+    topt.exec.observables = {bad};
+    try {
+      plan.execute_trajectories(2, topt);
+      ADD_FAILURE() << "expected an observable error for " << bad.to_string();
+    } catch (const Error& e) {
+      const Qubit q = bad.factors.front().first;
+      EXPECT_NE(std::string(e.what()).find("qubit " + std::to_string(q)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(NoiseTrajectories, JsonReportIsSelfDescribing) {

@@ -2,16 +2,82 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "circuits/generators.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "hisvsim/engine.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim::sv {
 namespace {
+
+/// Uniformly random amplitudes, normalized by a serial sum.
+StateVector random_state(unsigned n, std::uint64_t seed) {
+  StateVector s(n);
+  Rng rng(seed);
+  double norm = 0.0;
+  for (Index i = 0; i < s.size(); ++i) {
+    s[i] = cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    norm += std::norm(s[i]);
+  }
+  for (Index i = 0; i < s.size(); ++i) s[i] /= std::sqrt(norm);
+  return s;
+}
+
+PauliString z_string(const std::vector<Qubit>& qubits) {
+  PauliString p;
+  for (Qubit q : qubits) p.factors.emplace_back(q, Pauli::Z);
+  return p;
+}
+
+/// Serial oracle for a Z string: sum_i (-1)^|i & mask| |a_i|^2 in index
+/// order, one accumulator.
+double serial_z_expectation(const StateVector& s,
+                            const std::vector<Qubit>& qubits) {
+  Index mask = 0;
+  for (Qubit q : qubits) mask |= Index{1} << q;
+  double acc = 0.0;
+  for (Index i = 0; i < s.size(); ++i)
+    acc += (std::popcount(i & mask) & 1 ? -1.0 : 1.0) * std::norm(s[i]);
+  return acc;
+}
+
+/// Reference for any Pauli string: <s| (P|s>), with P|s> built by the
+/// gate kernels one factor at a time.
+double applied_expectation(const StateVector& s, const PauliString& p) {
+  StateVector ps = s;
+  for (const auto& [q, op] : p.factors)
+    apply_gate(ps, op == Pauli::X   ? Gate::x(q)
+                   : op == Pauli::Y ? Gate::y(q)
+                                    : Gate::z(q));
+  cplx acc = 0.0;
+  for (Index i = 0; i < s.size(); ++i) acc += std::conj(s[i]) * ps[i];
+  EXPECT_NEAR(acc.imag(), 0.0, 1e-12) << p.to_string();
+  return acc.real();
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+std::string error_of(const StateVector& s, const PauliString& p) {
+  try {
+    (void)expectation(s, p);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(PauliParse, IndexedForm) {
   const PauliString p = PauliString::parse("Z0*Z3");
@@ -77,6 +143,130 @@ TEST(Expectation, HamiltonianSum) {
       {-2.0, PauliString::parse("X0*X1")},
   };
   EXPECT_NEAR(expectation(s, ham), 0.5 - 2.0, 1e-12);
+}
+
+// The diagonal pass against a serial oracle. The sizes put some states
+// under one 64-amplitude chunk (n = 1, 2, 5) and some over it; the
+// strings cover the low six qubits (the chunk's sign table), the qubits
+// above them (the per-chunk sign) and both at once.
+TEST(Expectation, ZStringsMatchSerialOracle) {
+  const std::vector<std::vector<Qubit>> strings = {
+      {0},       {5},          {0, 3},     {1, 2, 4}, {6},
+      {7, 12},   {0, 6},       {5, 6, 8},  {2, 9, 12}, {3, 4, 5},
+      {8, 10, 11}};
+  for (unsigned n : {1u, 2u, 5u, 6u, 9u, 13u}) {
+    const StateVector s = random_state(n, 100 + n);
+    const double norm = serial_z_expectation(s, {});
+    EXPECT_NEAR(s.norm(), norm, 1e-12) << "n=" << n;
+    EXPECT_TRUE(same_bits(expectation(s, PauliString{}), s.norm()))
+        << "n=" << n;
+    int tested = 0;
+    for (const std::vector<Qubit>& qs : strings) {
+      if (std::any_of(qs.begin(), qs.end(), [n](Qubit q) { return q >= n; }))
+        continue;
+      ++tested;
+      const PauliString p = z_string(qs);
+      EXPECT_NEAR(expectation(s, p), serial_z_expectation(s, qs), 1e-12)
+          << "n=" << n << " " << p.to_string();
+    }
+    EXPECT_GT(tested, 0) << "n=" << n;
+  }
+}
+
+TEST(Expectation, MixedStringsMatchAppliedReference) {
+  const std::vector<std::string> strings = {
+      "X0",        "Y0",          "X1*Z0",    "Y2*Z0*Z1",  "X0*Y1*Z4",
+      "Y3*Y5",     "X4*X6*Z7",    "Z0*Y8",    "X2*Y6*Z3",  "Y0*Y1*Y2*Z8"};
+  for (unsigned n : {1u, 2u, 5u, 9u}) {
+    const StateVector s = random_state(n, 200 + n);
+    for (const std::string& text : strings) {
+      const PauliString p = PauliString::parse(text);
+      bool fits = true;
+      for (const auto& f : p.factors) fits = fits && f.first < n;
+      if (!fits) continue;
+      EXPECT_NEAR(expectation(s, p), applied_expectation(s, p), 1e-12)
+          << "n=" << n << " " << text;
+    }
+  }
+}
+
+// Each Z-string value and the norm are pure functions of the state: the
+// same bits at one and at four threads, under an inline_scope (as inside
+// a sweep point or a trajectory), and as execute and execute_sweep report
+// them. bench_e2e's sweep replay recomputes a point's strings outside
+// the sweep and relies on exactly this.
+TEST(Expectation, ZStringsBitIdenticalPooledInlineAndThroughTheEngine) {
+  // n = 18: 16 grid blocks, so four threads split every pass.
+  const unsigned n = 18;
+  const std::vector<std::vector<Qubit>> strings = {
+      {0, 1}, {3, 17}, {6}, {2, 9, 15}, {}};
+  std::vector<PauliString> obs;
+  for (const std::vector<Qubit>& qs : strings) obs.push_back(z_string(qs));
+  Options o;
+  o.target = Target::Flat;
+  const ExecutionPlan plan = Engine::compile(circuits::qaoa(n, 2, 5), o);
+  ExecOptions x;
+  x.observables = obs;
+  parallel::set_num_threads(4);
+  const Result r = plan.execute(x);
+  const std::vector<Result> sweep =
+      plan.execute_sweep(std::vector<ParamBinding>(3), x);
+  // One value per string, then the norm (oracle: the empty string).
+  const auto values = [&] {
+    std::vector<double> v;
+    for (const PauliString& p : obs) v.push_back(expectation(r.state, p));
+    v.push_back(r.state.norm());
+    return v;
+  };
+  const std::vector<double> four = values();
+  parallel::set_num_threads(1);
+  const std::vector<double> one = values();
+  parallel::set_num_threads(4);
+  std::vector<double> inline_values;
+  {
+    parallel::inline_scope inline_only;
+    inline_values = values();
+  }
+  parallel::set_num_threads(0);
+
+  std::vector<double> engine = r.observables;
+  engine.push_back(r.norm);
+  ASSERT_EQ(engine.size(), strings.size() + 1);
+  for (std::size_t j = 0; j < engine.size(); ++j) {
+    const bool is_norm = j == strings.size();
+    const std::string what = is_norm ? "norm" : obs[j].to_string();
+    EXPECT_NEAR(four[j],
+                serial_z_expectation(r.state, is_norm ? std::vector<Qubit>{}
+                                                      : strings[j]),
+                1e-12)
+        << what;
+    EXPECT_TRUE(same_bits(one[j], four[j])) << what;
+    EXPECT_TRUE(same_bits(inline_values[j], four[j])) << what;
+    EXPECT_TRUE(same_bits(engine[j], four[j])) << what;
+    for (const Result& point : sweep) {
+      const double v = is_norm ? point.norm : point.observables[j];
+      EXPECT_TRUE(same_bits(v, four[j])) << what << " (sweep point)";
+    }
+  }
+}
+
+// A hand-built factor list can repeat a qubit, which parse() rejects:
+// on X|00>, Z0*Z0 and X1*X1 are the identity (value 1), which a single
+// pass over the masks cannot compute, so both are errors naming the qubit.
+TEST(Expectation, RejectsRepeatedAndOutOfRangeQubits) {
+  StateVector s(2);
+  apply_gate(s, Gate::x(0));
+  const std::string zz =
+      error_of(s, PauliString{{{0, Pauli::Z}, {0, Pauli::Z}}});
+  EXPECT_NE(zz.find("qubit 0 repeated"), std::string::npos) << zz;
+  const std::string xx =
+      error_of(s, PauliString{{{1, Pauli::X}, {1, Pauli::X}}});
+  EXPECT_NE(xx.find("qubit 1 repeated"), std::string::npos) << xx;
+  const std::string far = error_of(s, PauliString{{{2, Pauli::Y}}});
+  EXPECT_NE(far.find("qubit 2 outside the 2-qubit register"),
+            std::string::npos)
+      << far;
+  EXPECT_NO_THROW(PauliString::parse("Z0*X1").check(2));
 }
 
 TEST(Marginals, BellPairs) {

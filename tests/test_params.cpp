@@ -19,7 +19,9 @@
 #include "circuit/gate.hpp"
 #include "circuits/generators.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "hisvsim/engine.hpp"
 #include "partition/partition.hpp"
 #include "sv/simulator.hpp"
@@ -469,6 +471,31 @@ TEST(ParamSweep, ValidatesBindingsAtExecute) {
     std::vector<ParamBinding> points{inst.uniform_binding(0.1, 0.2),
                                      inst.uniform_binding(0.3, 0.4)};
     EXPECT_THROW(plan.execute_sweep(points, x), Error);
+  }
+  // So do observables with a repeated or out-of-range qubit: checked on
+  // the calling thread, before any point reaches the pool.
+  for (const sv::PauliString& bad :
+       {sv::PauliString{{{2, sv::Pauli::Z}, {2, sv::Pauli::Z}}},
+        sv::PauliString{{{8, sv::Pauli::X}}}}) {
+    ExecOptions x;
+    x.observables = {sv::PauliString::parse("Z0*Z1"), bad};
+    std::vector<ParamBinding> points{inst.uniform_binding(0.1, 0.2),
+                                     inst.uniform_binding(0.3, 0.4)};
+    parallel::set_num_threads(4);
+    trace::Counter& tasks =
+        trace::MetricsRegistry::global().counter("pool.tasks");
+    const std::uint64_t before = tasks.value();
+    try {
+      plan.execute_sweep(points, x);
+      ADD_FAILURE() << "expected an observable error for " << bad.to_string();
+    } catch (const Error& e) {
+      const Qubit q = bad.factors.front().first;
+      EXPECT_NE(std::string(e.what()).find("qubit " + std::to_string(q)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(tasks.value(), before) << bad.to_string();
+    parallel::set_num_threads(0);
   }
 }
 

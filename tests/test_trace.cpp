@@ -247,10 +247,11 @@ TEST(Trace, MetricsOnEveryTarget) {
         return it == m.end() ? 0.0 : it->second;
       };
       // The stable compile keys exist on every target (zero when a phase
-      // was skipped), and every execution stamps its wall time.
+      // was skipped), and every execution stamps its wall time and the
+      // time of its norm/shots/observables tail.
       expect_keys({"compile.total_seconds", "compile.partition_seconds",
                    "compile.optimize_seconds", "compile.gates_removed",
-                   "execute.wall_seconds"});
+                   "execute.wall_seconds", "observe.seconds"});
       EXPECT_NE(r.to_json().find("\"metrics\": {"), std::string::npos);
 
       if (!target_is_distributed(o.target)) {
@@ -269,6 +270,12 @@ TEST(Trace, MetricsOnEveryTarget) {
       expect_keys({"apply.seconds.sum", "exchange.count", "exchange.bytes",
                    "exchange.messages", "exchange.modeled_seconds.sum",
                    "exchange.modeled_avg_seconds", "gather.seconds"});
+      // A report-only run skips the gather but still times its shard norm.
+      ExecOptions report_only;
+      report_only.want_state = false;
+      const Result ro = Engine::compile(c, o).execute(report_only);
+      EXPECT_EQ(ro.metrics.count("gather.seconds"), 0u);
+      EXPECT_EQ(ro.metrics.count("observe.seconds"), 1u);
       const double comm = m.at("exchange.modeled_seconds.sum");
       EXPECT_EQ(r.total_seconds(), m.at("apply.seconds.sum") + comm);
       EXPECT_GE(comm, 0.0);
