@@ -52,12 +52,18 @@ int main(int argc, char** argv) {
     const dag::CircuitDag d2(fused);
     const auto p2 = partition::make_partition(d2, opt);
 
-    sv::HierarchicalSimulator hier;
+    // Alg. 1: every part through run_part.
+    const auto hier = [](const Circuit& circ,
+                         const partition::Partitioning& parts) {
+      sv::StateVector s(circ.num_qubits());
+      for (const partition::Part& p : parts.parts)
+        sv::run_part(circ, p.gates, p.qubits, s);
+    };
     Timer t3;
-    { sv::StateVector s(c.num_qubits()); hier.run(c, p1, s); }
+    hier(c, p1);
     const double hier_s = t3.seconds();
     Timer t4;
-    { sv::StateVector s(c.num_qubits()); hier.run(fused, p2, s); }
+    hier(fused, p2);
     const double hier_fused_s = t4.seconds();
 
     bench::print_row({e.meta.name, std::to_string(c.num_gates()),

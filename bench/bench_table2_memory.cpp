@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
       const auto traffic = sv::model_traffic(c, parts, cache);
       sv::StateVector state(c.num_qubits());
       Timer t;
-      sv::HierarchicalSimulator().run(c, parts, state);
+      for (const partition::Part& p : parts.parts)
+        sv::run_part(c, p.gates, p.qubits, state);
       const double exec = t.seconds();
       using TB = sv::TrafficBreakdown;
       bench::print_row({e.meta.name, partition::strategy_name(strategy),

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
       parallel::set_num_threads(t);
       sv::StateVector state(c.num_qubits());
       Timer timer;
-      sv::HierarchicalSimulator().run(c, parts, state);
+      for (const partition::Part& p : parts.parts)
+        sv::run_part(c, p.gates, p.qubits, state);
       row.push_back(bench::fmt(timer.seconds(), 4));
     }
     bench::print_row(row, {10, 9, 9, 9, 9});

@@ -82,9 +82,10 @@ class DistState {
 
   /// Gathers all shards into one full state vector under the current
   /// layout. Besides tests, this is the engine's result path: every
-  /// distributed execute that returns a state, draws shots or evaluates
-  /// observables gathers through it. Copies runs of 2^run_bits()
-  /// amplitudes, one global index per run, over parallel::for_range.
+  /// sharded execute (p > 0) that returns a state, draws shots or
+  /// evaluates observables gathers through it; at p = 0 the engine moves
+  /// the one shard out instead. Copies runs of 2^run_bits() amplitudes,
+  /// one global index per run, over parallel::for_range.
   sv::StateVector to_state_vector() const;
 
   /// Inverse of to_state_vector(): scatters `full` into the shards under

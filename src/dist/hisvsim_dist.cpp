@@ -1,6 +1,7 @@
 #include "dist/hisvsim_dist.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "circuit/decompose.hpp"
 #include "common/check.hpp"
@@ -13,11 +14,11 @@
 
 namespace hisim::dist {
 
-DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
+DistPlan compile_plan(Circuit c, const DistOptions& opt,
                       const RankLayout* initial) {
   const unsigned n = c.num_qubits();
   const unsigned p = opt.process_qubits;
-  HISIM_CHECK_MSG(p > 0 && p < n, "need 0 < process_qubits < num_qubits");
+  HISIM_CHECK_MSG(p < n, "need process_qubits < num_qubits");
   const unsigned l = n - p;
 
   partition::PartitionOptions po = opt.part;
@@ -42,15 +43,30 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
     trace::TraceSpan span("lower", "dist");
     plan.circuit = lower(c, std::max(po.limit, 2u));
   } else {
-    plan.circuit = c;
+    plan.circuit = std::move(c);
   }
 
-  const dag::CircuitDag dag = [&] {
-    trace::TraceSpan span("dag.build", "dist");
-    return dag::CircuitDag(plan.circuit);
-  }();
-  const partition::Partitioning parts = partition::make_partition(dag, po);
-  plan.partition_seconds = parts.partition_seconds;
+  partition::Partitioning parts;
+  if (po.limit >= n) {
+    // Every qubit fits one rank (p = 0): the whole circuit is one part, so
+    // neither the DAG nor the partitioner is needed.
+    partition::Part all;
+    all.gates.resize(plan.circuit.num_gates());
+    std::iota(all.gates.begin(), all.gates.end(), std::size_t{0});
+    std::vector<bool> used(n, false);
+    for (const Gate& g : plan.circuit.gates())
+      for (Qubit q : g.qubits) used[q] = true;
+    for (Qubit q = 0; q < n; ++q)
+      if (used[q]) all.qubits.push_back(q);
+    parts.parts.push_back(std::move(all));
+  } else {
+    const dag::CircuitDag dag = [&] {
+      trace::TraceSpan span("dag.build", "dist");
+      return dag::CircuitDag(plan.circuit);
+    }();
+    parts = partition::make_partition(dag, po);
+    plan.partition_seconds = parts.partition_seconds;
+  }
 
   // Walk the layout chain once: each part's target layout depends only on
   // the previous part's, so the whole exchange schedule — and the gate
@@ -108,6 +124,11 @@ void execute_plan(const DistPlan& plan, DistState& state,
                   "state layout does not match the plan's initial layout");
   const unsigned v = state.num_ranks();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
+  // One rank never exchanges. It reports like Alg. 1 on one node instead:
+  // the level-2 parts add run_part's keys, and the steps without them add
+  // their apply window to apply.seconds.
+  std::map<std::string, double>* part_metrics = v == 1 ? metrics : nullptr;
+  double direct_apply = 0.0;
 
   // Every per-step measurement is recorded into this run-local registry
   // (local so concurrent executes on separate states cannot
@@ -196,11 +217,11 @@ void execute_plan(const DistPlan& plan, DistState& state,
               for (const Gate& g : local.gates())
                 sv::apply_gate(state.local(rank), g, kops);
             } else {
-              // Level-2 parts record nothing: the step's apply window
-              // above is the rank's measurement.
+              // With more than one rank, level-2 parts record nothing: the
+              // step's apply window is the rank's measurement.
               for (const partition::Part& ip : step.inner.parts)
                 sv::run_part(local, ip.gates, ip.qubits,
-                             state.local(rank), nullptr, &kops);
+                             state.local(rank), part_metrics, &kops);
             }
             const double t1 = wall.seconds();
             MutexLock lk(comp_mu);
@@ -211,6 +232,7 @@ void execute_plan(const DistPlan& plan, DistState& state,
         /*grain=*/1);
 
     const double part_comp = comp_begin < 0.0 ? 0.0 : comp_end - comp_begin;
+    if (step.inner.num_parts() == 0) direct_apply += part_comp;
     if (handle) {
       trace::TraceSpan wait_span("exchange.wait_all", "dist");
       handle->wait_all();
@@ -243,6 +265,10 @@ void execute_plan(const DistPlan& plan, DistState& state,
   pipelined += prev_comp;
 
   if (metrics == nullptr) return;
+  if (v == 1) {
+    (*metrics)["apply.seconds"] += direct_apply;
+    return;
+  }
   for (const auto& [key, value] : reg.flat()) (*metrics)[key] = value;
   (*metrics)["exchange.modeled_avg_seconds"] = modeled_avg;
   (*metrics)["step.pipelined_seconds"] = pipelined;

@@ -17,7 +17,8 @@ namespace hisim::dist {
 /// Compile-time configuration of a distributed run.
 struct DistOptions {
   /// p: the run uses 2^p virtual ranks; each shard holds 2^(n-p)
-  /// amplitudes. Must match the DistState the plan executes on.
+  /// amplitudes. Must match the DistState the plan executes on. p = 0 is
+  /// one node: the flat and hierarchical targets compile with it.
   unsigned process_qubits = 0;
   /// First-level partitioning configuration. A limit of 0 (or one
   /// larger than n - p) is clamped to the local qubit count.
@@ -81,15 +82,17 @@ struct DistPlan {
 /// tests corrupt a copied plan's schedule and assert the abort.
 void validate_plan(const DistPlan& plan);
 
-/// Compiles the paper's distributed hierarchical simulator (Sec. V) for
-/// `c` under `opt`: partition the circuit so every part fits in one rank's
+/// Compiles the paper's hierarchical simulator (Secs. IV and V) for `c`
+/// under `opt`: partition the circuit so every part fits in one rank's
 /// shard, and plan per part the redistribution that makes its qubits local
 /// on every rank — at most one collective exchange per part, where the
 /// IQS-style baseline pays one pairwise exchange per gate that mixes a
-/// process qubit. `initial` is the layout the target state will carry
-/// when execution starts; nullptr = identity. Throws if an arity-2 gate
-/// exceeds the local qubit count.
-DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
+/// process qubit. A level-1 limit of n or more (only possible at p = 0)
+/// makes the whole circuit one part without building the DAG or calling
+/// the partitioner. `initial` is the layout the target state will carry
+/// when execution starts; nullptr = identity. Throws unless p < n, and if
+/// an arity-2 gate exceeds the local qubit count.
+DistPlan compile_plan(Circuit c, const DistOptions& opt,
                       const RankLayout* initial = nullptr);
 
 /// Runs a compiled plan on `state` (whose layout must equal
@@ -131,7 +134,10 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
 /// `.count/.min/.max/.sum/.mean`; and step.pipelined_seconds, the paper's
 /// Sec. V-C estimate over the per-step (modeled comm, apply) pairs:
 /// T = comm_1 + sum_i max(apply_i, comm_{i+1}), comm_{k+1} = 0.
-/// docs/ARCHITECTURE.md ("Metric keys") lists every target's keys.
+/// One rank (p = 0) records none of these: its level-2 parts add
+/// sv::run_part's keys, and its steps without level-2 parts add their
+/// apply window to a plain apply.seconds. docs/ARCHITECTURE.md ("Metric
+/// keys") lists every target's keys.
 void execute_plan(const DistPlan& plan, DistState& state,
                   const NetworkModel& net,
                   std::map<std::string, double>* metrics = nullptr,

@@ -148,10 +148,8 @@ void check_step_noise_slots(const DistPlan::Step& s, std::size_t si) {
 void validate_plan(const DistPlan& plan) {
   const unsigned n = plan.num_qubits;
   const unsigned p = plan.process_qubits;
-  HISIM_INVARIANT(p > 0 && p < n,
-                  "plan shape requires 0 < process_qubits (" << p
-                                                             << ") < qubits ("
-                                                             << n << ")");
+  HISIM_INVARIANT(p < n, "plan shape requires process_qubits ("
+                             << p << ") < qubits (" << n << ")");
   HISIM_INVARIANT(plan.circuit.num_qubits() == n,
                   "plan circuit has " << plan.circuit.num_qubits()
                                       << " qubits, plan says " << n);

@@ -11,13 +11,10 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "dag/circuit_dag.hpp"
 #include "dist/backend.hpp"
 #include "dist/iqs_baseline.hpp"
 #include "hisvsim/plan_impl.hpp"
 #include "noise/trajectory.hpp"
-#include "sv/hierarchical.hpp"
-#include "sv/simulator.hpp"
 
 namespace hisim {
 
@@ -56,11 +53,25 @@ using detail::PlanImpl;
 
 namespace {
 
-/// Working-set limit actually used: explicit limit capped at the circuit
-/// width, else the inner-vector budget (2^21 amplitudes = 32 MiB).
-unsigned effective_limit(const Options& opt, unsigned num_qubits) {
-  if (opt.limit != 0) return std::min(opt.limit, num_qubits);
-  return std::min(sv::kInnerBudgetQubits, num_qubits);
+/// The (p, level-1 limit, level-2 limit) a target compiles with; every
+/// target but iqs-baseline is one DistPlan. Single-node targets run on one
+/// rank with every qubit local: flat has no level 2, and hierarchical's
+/// level 2 is Alg. 1 at the explicit limit capped at the circuit width,
+/// else at the inner-vector budget (2^21 amplitudes = 32 MiB).
+dist::DistOptions dist_options(const Options& opt, unsigned num_qubits) {
+  dist::DistOptions d;
+  d.part.strategy = opt.strategy;
+  d.part.seed = opt.seed;
+  d.part.limit = 0;  // all local qubits
+  if (opt.target == Target::Hierarchical) {
+    d.level2_limit = std::min(
+        opt.limit != 0 ? opt.limit : sv::kInnerBudgetQubits, num_qubits);
+  } else if (opt.target != Target::Flat) {
+    d.process_qubits = opt.process_qubits;
+    d.part.limit = opt.limit;
+    d.level2_limit = opt.level2_limit;
+  }
+  return d;
 }
 
 dist::CommBackend* backend_for_target(Target t) {
@@ -272,19 +283,19 @@ const Circuit& ExecutionPlan::circuit() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
   return impl_->executed_circuit();
 }
+// On one rank (p = 0) the level-1 step is the whole circuit, so the parts
+// are its level-2 parts when level 2 ran (Alg. 1), else that one step, and
+// no part is inner. iqs-baseline compiles no DistPlan and reports 0.
 std::size_t ExecutionPlan::num_parts() const {
-  switch (target()) {
-    case Target::Flat: return 1;  // the whole circuit, unpartitioned
-    case Target::Hierarchical: return impl_->single.num_parts();
-    case Target::DistributedSerial:
-    case Target::DistributedThreaded: return impl_->dplan.num_parts();
-    case Target::IqsBaseline: return 0;
-  }
-  return 0;
+  HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
+  const dist::DistPlan& d = impl_->dplan;
+  return d.process_qubits == 0 && d.level2_limit > 0 ? d.inner_parts
+                                                     : d.num_parts();
 }
 std::size_t ExecutionPlan::num_inner_parts() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
-  return impl_->dplan.inner_parts;  // 0 unless a distributed level 2 ran
+  const dist::DistPlan& d = impl_->dplan;
+  return d.process_qubits == 0 ? 0 : d.inner_parts;
 }
 unsigned ExecutionPlan::num_ranks() const {
   return target_is_distributed(target()) ? 1u << options().process_qubits
@@ -295,14 +306,8 @@ double ExecutionPlan::compile_seconds() const {
   return impl_->compile_seconds;
 }
 double ExecutionPlan::partition_seconds() const {
-  switch (target()) {
-    case Target::Hierarchical: return impl_->single.partition_seconds;
-    case Target::DistributedSerial:
-    case Target::DistributedThreaded: return impl_->dplan.partition_seconds;
-    case Target::Flat:
-    case Target::IqsBaseline: return 0.0;
-  }
-  return 0.0;
+  HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
+  return impl_->dplan.partition_seconds;
 }
 const std::vector<std::string>& ExecutionPlan::param_names() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
@@ -350,81 +355,49 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
   // downstream artifact — DAG, partitioning, lowering, the exchange
   // schedule — accounts for exactly once. Trajectories later substitute
   // sampled operators into the slots without touching that structure.
-  Circuit instrumented;
+  //
+  // Each phase that rewrites the circuit leaves its output in `work`, and
+  // the plan takes `work` by move: only an untouched input is copied.
+  Circuit work;
   const Circuit* source = &c;
   double instrument_seconds = 0.0;
   if (!opt_.noise.empty()) {
     Timer t;
     trace::TraceSpan span("instrument", "engine");
     noise::Instrumented in = noise::instrument(c, opt_.noise);
-    instrumented = std::move(in.circuit);
+    work = std::move(in.circuit);
     impl->noise = std::move(in.noise);
-    source = &instrumented;
+    source = &work;
     instrument_seconds = t.seconds();
   }
   // Optimization runs after instrumentation and before partitioning, so a
   // removed gate is removed from every downstream artifact, and the slots
   // (barriers to every pass) keep noisy structure intact. A circuit the
   // pipeline leaves untouched compiles to a bit-identical plan.
-  Circuit optimized;
   double optimize_seconds = 0.0;
   if (opt_.opt_level != 0) {
     Timer t;
     trace::TraceSpan span("optimize", "engine");
-    optimized = optimize(*source, opt_.opt_level, &impl->opt_report);
-    source = &optimized;
+    work = optimize(*source, opt_.opt_level, &impl->opt_report);
+    source = &work;
     optimize_seconds = t.seconds();
   } else {
     impl->opt_report.gates_before = impl->opt_report.gates_after =
         source->num_gates();
   }
-  impl->param_names = source->param_names();
-  // The distributed targets execute dplan.circuit (the possibly-lowered
-  // copy compile_plan makes); storing the input here too would just
-  // double the plan's circuit memory.
-  if (opt_.target != Target::DistributedSerial &&
-      opt_.target != Target::DistributedThreaded)
-    impl->circuit = *source;
-  const unsigned n = source->num_qubits();
+  if (source == &c) work = c;
+  impl->param_names = work.param_names();
+  const unsigned n = work.num_qubits();
 
-  double partition_seconds = 0.0;
-  switch (opt_.target) {
-    case Target::Flat:
-      break;
-
-    case Target::Hierarchical: {
-      const dag::CircuitDag dag = [&] {
-        trace::TraceSpan span("dag.build", "engine");
-        return dag::CircuitDag(*source);
-      }();
-      partition::PartitionOptions po;
-      po.strategy = opt_.strategy;
-      po.limit = effective_limit(opt_, n);
-      po.seed = opt_.seed;
-      impl->single = partition::make_partition(dag, po);
-      partition_seconds = impl->single.partition_seconds;
-      break;
-    }
-
-    case Target::DistributedSerial:
-    case Target::DistributedThreaded: {
-      HISIM_CHECK_MSG(opt_.process_qubits > 0,
-                      "distributed targets require process_qubits > 0");
-      dist::DistOptions dopt;
-      dopt.process_qubits = opt_.process_qubits;
-      dopt.part.strategy = opt_.strategy;
-      dopt.part.limit = opt_.limit;  // 0 = clamp to local qubits
-      dopt.part.seed = opt_.seed;
-      dopt.level2_limit = opt_.level2_limit;
-      impl->dplan = dist::compile_plan(*source, dopt);
-      partition_seconds = impl->dplan.partition_seconds;
-      break;
-    }
-
-    case Target::IqsBaseline:
-      HISIM_CHECK_MSG(opt_.process_qubits > 0 && opt_.process_qubits < n,
-                      "iqs-baseline requires 0 < process_qubits < qubits");
-      break;
+  if (opt_.target == Target::IqsBaseline) {
+    HISIM_CHECK_MSG(opt_.process_qubits > 0 && opt_.process_qubits < n,
+                    "iqs-baseline requires 0 < process_qubits < qubits");
+    impl->circuit = std::move(work);
+  } else {
+    HISIM_CHECK_MSG(
+        !target_is_distributed(opt_.target) || opt_.process_qubits > 0,
+        "distributed targets require process_qubits > 0");
+    impl->dplan = dist::compile_plan(std::move(work), dist_options(opt_, n));
   }
 
   impl->compile_seconds = compile_timer.seconds();
@@ -432,7 +405,8 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
   // Result::metrics. Zero when the phase did not run — the keys stay
   // stable across configurations so trace diffs line up.
   impl->compile_metrics["compile.total_seconds"] = impl->compile_seconds;
-  impl->compile_metrics["compile.partition_seconds"] = partition_seconds;
+  impl->compile_metrics["compile.partition_seconds"] =
+      impl->dplan.partition_seconds;
   impl->compile_metrics["compile.instrument_seconds"] = instrument_seconds;
   impl->compile_metrics["compile.optimize_seconds"] = optimize_seconds;
   impl->compile_metrics["compile.gates_removed"] = static_cast<double>(
@@ -470,7 +444,8 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
                                    std::span<const Gate> noise_ops) const {
   const PlanImpl& plan = *impl_;
   const Options& opt = plan.opt;
-  const unsigned n = plan.executed_circuit().num_qubits();
+  const Circuit& c = plan.executed_circuit();
+  const unsigned n = c.num_qubits();
   trace::TraceSpan exec_span("execute", "engine");
 
   // Resolve the binding context up front: a parameterized plan needs every
@@ -481,35 +456,6 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   if (!plan.param_names.empty() || !opts.bindings.empty())
     param_values = resolve_binding(plan.param_names, opts.bindings);
   check_exec_options(opts, n);
-
-  // Materialize the executed circuit for the targets that apply it whole:
-  // bind symbolic angles, then substitute the trajectory's sampled
-  // operators into the reserved noise slots. The distributed-serial/
-  // -threaded targets instead materialize per step inside
-  // dist::execute_plan, overlapping with the exchange. This is the only
-  // per-binding/per-trajectory cost: the plan structure (partitioning,
-  // layouts, exchange schedule) is shared untouched.
-  const bool whole_target =
-      opt.target == Target::Flat || opt.target == Target::Hierarchical ||
-      opt.target == Target::IqsBaseline;
-  const bool bind_whole = !plan.param_names.empty() && whole_target;
-  const bool noise_whole =
-      whole_target && !noise_ops.empty() && !plan.noise.slots.empty();
-  Circuit storage;
-  const Circuit* executed = &plan.executed_circuit();
-  if (bind_whole || noise_whole) {
-    trace::TraceSpan bind_span("bind", "engine");
-    if (bind_whole) {
-      storage = executed->bound(param_values);
-      executed = &storage;
-    }
-    if (noise_whole) {
-      if (!bind_whole) storage = *executed;
-      noise::apply_ops(storage, noise_ops);
-      executed = &storage;
-    }
-  }
-  const Circuit& c = *executed;
 
   Result r;
   r.params = opts.bindings;
@@ -527,55 +473,57 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   r.ranks = num_ranks();
   r.metrics = plan.compile_metrics;
 
-  sv::StateVector state;
+  const bool iqs = opt.target == Target::IqsBaseline;
+  // The IQS baseline applies the whole circuit, so its symbolic angles are
+  // bound and the trajectory's sampled operators substituted here, before
+  // the run. dist::execute_plan does both per step instead, overlapping
+  // the exchange. Either way the plan structure is shared untouched.
+  const bool substitute = !noise_ops.empty() && !plan.noise.slots.empty();
+  Circuit bound;
+  const Circuit* whole = &c;
+  if (iqs && (!plan.param_names.empty() || substitute)) {
+    trace::TraceSpan bind_span("bind", "engine");
+    bound = plan.param_names.empty() ? c : c.bound(param_values);
+    if (substitute) noise::apply_ops(bound, noise_ops);
+    whole = &bound;
+  }
+
   Timer wall;
-  if (!target_is_distributed(opt.target)) {
-    if (opts.initial_state)
-      state = *opts.initial_state;
-    else
-      state = sv::StateVector(n);
-    if (opt.target == Target::Flat) {
-      Timer t;
-      trace::TraceSpan span("apply", "sv");
-      sv::FlatSimulator().run(c, state, plan.kernels);
-      r.metrics["apply.seconds"] = t.seconds();
-    } else {
-      sv::HierarchicalSimulator().run(c, plan.single, state, &r.metrics,
-                                      plan.kernels);
-    }
-    r.metrics["execute.wall_seconds"] = wall.seconds();
-  } else {
-    dist::DistState st(n, opt.process_qubits);
-    if (opts.initial_state) st.load_state_vector(*opts.initial_state);
-    if (opt.target == Target::IqsBaseline)
-      dist::IqsBaselineSimulator().run(c, st, opts.net, &r.metrics, nullptr,
-                                       plan.kernels);
-    else
-      dist::execute_plan(plan.dplan, st, opts.net, &r.metrics,
-                         backend_for_target(opt.target), param_values,
-                         noise_ops, plan.kernels);
-    r.metrics["execute.wall_seconds"] = wall.seconds();
+  dist::DistState st(n, iqs ? opt.process_qubits : plan.dplan.process_qubits);
+  if (opts.initial_state) st.load_state_vector(*opts.initial_state);
+  if (iqs)
+    dist::IqsBaselineSimulator().run(*whole, st, opts.net, &r.metrics,
+                                     nullptr, plan.kernels);
+  else
+    dist::execute_plan(plan.dplan, st, opts.net, &r.metrics,
+                       backend_for_target(opt.target), param_values,
+                       noise_ops, plan.kernels);
+  r.metrics["execute.wall_seconds"] = wall.seconds();
+
+  sv::StateVector state;
+  if (st.num_ranks() == 1) {
+    // One rank under the identity layout: its shard is the state.
+    state = std::move(st.local(0));
+  } else if (opts.want_state || opts.shots > 0 || !opts.observables.empty()) {
     // Gathering the sharded state is O(2^n); report-only executions
-    // (want_state off, no shots/observables) get the norm from the
-    // shards instead and skip it.
-    if (opts.want_state || opts.shots > 0 || !opts.observables.empty()) {
-      Timer gather_timer;
-      trace::TraceSpan gather_span("gather", "engine");
-      state = st.to_state_vector();
-      r.metrics["gather.seconds"] = gather_timer.seconds();
-    } else {
-      Timer observe;
-      double norm = 0.0;
-      for (unsigned rk = 0; rk < st.num_ranks(); ++rk)
-        norm += st.local(rk).norm();
-      r.norm = norm;
-      if (noise_ops.empty() && plan.norm_preserving)
-        sv::validate_norm_preserved(
-            opts.initial_state ? opts.initial_state->norm() : 1.0, r.norm,
-            "sharded execute (report-only)");
-      r.metrics["observe.seconds"] = observe.seconds();
-      return r;
-    }
+    // (want_state off, no shots/observables) get the norm from the shards
+    // instead and skip it.
+    Timer gather_timer;
+    trace::TraceSpan gather_span("gather", "engine");
+    state = st.to_state_vector();
+    r.metrics["gather.seconds"] = gather_timer.seconds();
+  } else {
+    Timer observe;
+    double norm = 0.0;
+    for (unsigned rk = 0; rk < st.num_ranks(); ++rk)
+      norm += st.local(rk).norm();
+    r.norm = norm;
+    if (noise_ops.empty() && plan.norm_preserving)
+      sv::validate_norm_preserved(
+          opts.initial_state ? opts.initial_state->norm() : 1.0, r.norm,
+          "sharded execute (report-only)");
+    r.metrics["observe.seconds"] = observe.seconds();
+    return r;
   }
 
   Timer observe;

@@ -38,13 +38,18 @@
 /// ExecutionPlan::execute_sweep(), which fans out over the worker pool.
 namespace hisim {
 
-/// Where and how a compiled circuit executes. Single-node targets operate
-/// on one dense state vector; distributed targets shard it over 2^p
-/// simulated ranks (Options::process_qubits).
+/// Where and how a compiled circuit executes. Every target but
+/// iqs-baseline compiles to one dist::DistPlan and runs through
+/// dist::execute_plan; it only chooses p, the level-1 limit and the level-2
+/// limit. Single-node targets hold one dense state vector on one rank
+/// (p = 0); distributed targets shard it over 2^p simulated ranks
+/// (Options::process_qubits).
 enum class Target {
-  /// Reference flat simulator: every gate applied to the full vector.
+  /// (p = 0, level 1 = n, no level 2): one part holding every gate,
+  /// applied to the full vector.
   Flat,
-  /// Gather-execute-scatter over a partitioning (Alg. 1).
+  /// (p = 0, level 1 = n, level 2 = Options::limit): gather-execute-scatter
+  /// over the level-2 parts (Alg. 1).
   Hierarchical,
   /// Per-part redistribution executor with the synchronous exchange
   /// backend (reference; deterministic timing).
@@ -74,7 +79,8 @@ struct Options {
   partition::Strategy strategy = partition::Strategy::DagP;
   /// Working-set limit Lm. 0 = auto: local qubit count when distributed,
   /// otherwise sv::kInnerBudgetQubits (21 qubits ~ 32 MiB) capped at the
-  /// circuit width.
+  /// circuit width. Flat ignores it; on hierarchical it is the level-2
+  /// limit of the one-rank plan, whose level 1 holds the whole circuit.
   unsigned limit = 0;
   /// Second-level (cache) limit of the distributed-serial/-threaded
   /// targets: each part is re-partitioned at this limit and runs its

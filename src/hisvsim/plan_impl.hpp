@@ -8,7 +8,6 @@
 #include "dist/hisvsim_dist.hpp"
 #include "hisvsim/engine.hpp"
 #include "noise/trajectory.hpp"
-#include "partition/partition.hpp"
 #include "sv/kernel_dispatch.hpp"
 
 /// Internal: the compiled-plan representation shared by engine.cpp (which
@@ -30,7 +29,7 @@ namespace hisim::detail {
 /// and would serialize every concurrent execute.
 struct PlanImpl {
   Options opt;
-  Circuit circuit;  // single-node / IQS targets execute this directly
+  Circuit circuit;  // Target::IqsBaseline executes this directly
   /// Symbolic parameter registry of the compiled circuit (id order).
   /// Non-empty iff the plan is parameterized, in which case every execute
   /// resolves ExecOptions::bindings against it and materializes gate
@@ -59,14 +58,12 @@ struct PlanImpl {
   /// merged into each execution's Result::metrics.
   std::map<std::string, double> compile_metrics;
 
-  partition::Partitioning single;  // Target::Hierarchical
-  dist::DistPlan dplan;            // Target::Distributed*
+  /// Every other target executes this; flat and hierarchical are its
+  /// one-rank (p = 0) case.
+  dist::DistPlan dplan;
 
   const Circuit& executed_circuit() const {
-    return target_is_distributed(opt.target) &&
-                   opt.target != Target::IqsBaseline
-               ? dplan.circuit
-               : circuit;
+    return opt.target == Target::IqsBaseline ? circuit : dplan.circuit;
   }
 };
 

@@ -1,34 +1,20 @@
 #include <cstddef>
 
 #include "common/check.hpp"
-#include "dag/circuit_dag.hpp"
 #include "hisvsim/plan_impl.hpp"
 
-/// ExecutionPlan::validate() — the single-node half of the checked-build
-/// layer (common/check.hpp; the distributed half lives in
-/// dist/validate.cpp). Like dist::validate_plan, everything here re-derives
-/// the plan's contract from first principles: partitionings are re-checked
-/// against freshly built DAGs, noise slots are re-counted from the gates,
-/// and the kernel table is re-tested against the CPU — the validator never
-/// trusts the code paths that produced the plan.
+/// ExecutionPlan::validate() — the engine half of the checked-build layer
+/// (common/check.hpp; the plan half lives in dist/validate.cpp, and checks
+/// every target's DistPlan but iqs-baseline's). Like dist::validate_plan,
+/// everything here re-derives the plan's contract from first principles:
+/// noise slots are re-counted from the gates, and the kernel table is
+/// re-tested against the CPU — the validator never trusts the code paths
+/// that produced the plan.
 namespace hisim {
 
 namespace {
 
 using detail::PlanImpl;
-
-/// partition::validate throws hisim::Error (it predates the checked-build
-/// layer and is also a user-facing precondition check); the deep validator
-/// converts that into the abort contract so a violation cannot be swallowed
-/// by a catch block somewhere up the execute path.
-void check_partitioning(const dag::CircuitDag& dag,
-                        const partition::Partitioning& p, const char* what) {
-  try {
-    partition::validate(dag, p);
-  } catch (const Error& e) {
-    HISIM_INVARIANT(false, what << " partitioning invalid: " << e.what());
-  }
-}
 
 void check_kernels(const PlanImpl& p) {
   HISIM_INVARIANT(p.kernels != nullptr, "plan carries no kernel ops table");
@@ -47,31 +33,16 @@ void check_kernels(const PlanImpl& p) {
 }
 
 void check_params(const PlanImpl& p) {
-  // executed_circuit() is dplan.circuit for the distributed targets
-  // (impl.circuit is intentionally left empty there) and impl.circuit
-  // everywhere else — exactly the circuit whose parameters execute()
-  // resolves bindings against.
+  // executed_circuit() is impl.circuit for iqs-baseline (impl.circuit is
+  // intentionally left empty elsewhere) and dplan.circuit everywhere else
+  // — exactly the circuit whose parameters execute() resolves bindings
+  // against.
   const std::vector<std::string>& names = p.executed_circuit().param_names();
   HISIM_INVARIANT(names == p.param_names,
                   "executed circuit declares "
                       << names.size() << " symbolic parameters, plan registry "
                       << "has " << p.param_names.size()
                       << " (or the names/order differ)");
-}
-
-void check_target(const PlanImpl& p) {
-  switch (p.opt.target) {
-    case Target::Hierarchical:
-      check_partitioning(dag::CircuitDag(p.circuit), p.single, "hierarchical");
-      break;
-    case Target::DistributedSerial:
-    case Target::DistributedThreaded:
-      dist::validate_plan(p.dplan);
-      break;
-    case Target::Flat:
-    case Target::IqsBaseline:
-      break;  // nothing compiled beyond the circuit
-  }
 }
 
 }  // namespace
@@ -88,7 +59,8 @@ void ExecutionPlan::validate() const {
   // a noiseless plan this doubles as "no stray NoiseSlot gates".
   noise::validate_slots(p.executed_circuit(), p.noise);
 
-  check_target(p);
+  // iqs-baseline compiles nothing beyond the circuit.
+  if (p.opt.target != Target::IqsBaseline) dist::validate_plan(p.dplan);
 }
 
 }  // namespace hisim

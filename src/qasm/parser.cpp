@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -77,10 +78,19 @@ class Parser {
     if (!at(k)) fail("expected " + what);
     return eat();
   }
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw Error("QASM parse error at " + std::to_string(cur().line) + ":" +
-                std::to_string(cur().col) + ": " + msg + " (got '" +
-                cur().text + "')");
+  /// An Integer token that fits `unsigned`. The lexer keeps literals as
+  /// doubles, and casting one beyond that range is undefined behaviour.
+  unsigned expect_unsigned(const std::string& what) {
+    const Token t = expect(TokKind::Integer, what);
+    if (!(t.value <= std::numeric_limits<unsigned>::max()))
+      fail_at(t, what + " out of range");
+    return static_cast<unsigned>(t.value);
+  }
+  [[noreturn]] void fail(const std::string& msg) const { fail_at(cur(), msg); }
+  [[noreturn]] static void fail_at(const Token& t, const std::string& msg) {
+    throw Error("QASM parse error at " + std::to_string(t.line) + ":" +
+                std::to_string(t.col) + ": " + msg + " (got '" + t.text +
+                "')");
   }
 
   // ---- grammar ----------------------------------------------------------
@@ -128,12 +138,14 @@ class Parser {
     eat();  // qreg/creg
     const std::string name = expect(TokKind::Identifier, "register name").text;
     expect(TokKind::LBracket, "'['");
-    const Token size = expect(TokKind::Integer, "register size");
+    const Token& size = cur();  // toks_ never changes while parsing
+    const unsigned sz = expect_unsigned("register size");
     expect(TokKind::RBracket, "']'");
     expect(TokKind::Semicolon, "';'");
     if (!quantum) return;  // classical registers only sink measurements
     HISIM_CHECK_MSG(!qregs_.count(name), "duplicate qreg " << name);
-    const auto sz = static_cast<unsigned>(size.value);
+    if (sz > std::numeric_limits<unsigned>::max() - total_qubits_)
+      fail_at(size, "register size out of range");
     qregs_[name] = Reg{total_qubits_, sz};
     qreg_order_.push_back(name);
     total_qubits_ += sz;
@@ -328,8 +340,7 @@ class Parser {
       op.reg = expect(TokKind::Identifier, "qubit operand").text;
       if (at(TokKind::LBracket)) {
         eat();
-        op.index = static_cast<unsigned>(
-            expect(TokKind::Integer, "qubit index").value);
+        op.index = expect_unsigned("qubit index");
         expect(TokKind::RBracket, "']'");
       }
       ops.push_back(std::move(op));

@@ -177,22 +177,4 @@ void run_part(const Circuit& c, std::span<const std::size_t> gates,
     flops += gate_flops(c.gate(gi), w) * static_cast<double>(iterations);
 }
 
-void HierarchicalSimulator::run(const Circuit& c,
-                                const partition::Partitioning& parts,
-                                StateVector& state,
-                                std::map<std::string, double>* metrics,
-                                const KernelOps* ops) const {
-  HISIM_CHECK(state.num_qubits() == c.num_qubits());
-  for (const partition::Part& p : parts.parts)
-    run_part(c, p.gates, p.qubits, state, metrics, ops);
-}
-
-StateVector HierarchicalSimulator::simulate(
-    const Circuit& c, const partition::Partitioning& parts,
-    std::map<std::string, double>* metrics) const {
-  StateVector state(c.num_qubits());
-  run(c, parts, state, metrics);
-  return state;
-}
-
 }  // namespace hisim::sv

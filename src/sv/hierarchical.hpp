@@ -1,18 +1,14 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 
-#include "partition/partition.hpp"
+#include "circuit/circuit.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
 
 namespace hisim::sv {
-
-/// Inner-vector budget in qubits: 2^21 amplitudes (32 MiB), an LLC-sized
-/// working set. The engine's auto limit is this width, and run_part keeps
-/// its per-thread inner vectors within it.
-inline constexpr unsigned kInnerBudgetQubits = 21;
 
 /// run_part's choice of path for a part of `part_width` qubits with
 /// `cosets` = 2^(n − part_width) cosets on `threads` threads (1 inside a
@@ -24,34 +20,17 @@ inline constexpr unsigned kInnerBudgetQubits = 21;
 /// the larger of the budget and one 2^part_width vector.
 bool fans_out(unsigned part_width, Index cosets, unsigned threads);
 
-/// Hierarchical simulator implementing Algorithm 1: for each part, for
-/// every assignment of the qubits outside the part, gather the matching
-/// amplitudes into an inner state vector, run the part's gates there (with
-/// qubits remapped to inner slots), and scatter the results back.
-class HierarchicalSimulator {
- public:
-  /// `parts` must be a valid partitioning of `c`. Each part runs through
-  /// run_part, which adds its accounting to `metrics` (nullptr records
-  /// nothing). `ops` selects the kernel tier for the inner applies
-  /// (nullptr = the Auto-resolved default).
-  void run(const Circuit& c, const partition::Partitioning& parts,
-           StateVector& state,
-           std::map<std::string, double>* metrics = nullptr,
-           const KernelOps* ops = nullptr) const;
-
-  StateVector simulate(const Circuit& c,
-                       const partition::Partitioning& parts,
-                       std::map<std::string, double>* metrics = nullptr) const;
-};
-
 /// Executes one part against `outer`: the gather-execute-scatter cycle of
-/// Algorithm 1, over the part's cosets on the path fans_out() picks.
-/// Bit-identical on every path and thread count: each amplitude sees the
-/// same gate sequence and the copies are exact. `gates` are indices into
-/// `c`; `part_qubits` must be the sorted working set of those gates.
-/// Exposed for reuse by the distributed executor's second level (each
-/// shard runs its step's inner parts through it); called from inside a
-/// pool region, it runs inline with one inner vector.
+/// Algorithm 1 (for every assignment of the qubits outside the part, gather
+/// the matching amplitudes into an inner vector, run the part's gates there
+/// with qubits remapped to inner slots, and scatter the results back), over
+/// the part's cosets on the path fans_out() picks. Bit-identical on every
+/// path and thread count: each amplitude sees the same gate sequence and
+/// the copies are exact. `gates` are indices into `c`; `part_qubits` must
+/// be the sorted working set of those gates. dist::execute_plan runs every
+/// level-2 part through it: on the hierarchical target's one rank, and on
+/// each shard of the distributed targets. Called from inside a pool
+/// region, it runs inline with one inner vector.
 ///
 /// Adds the part's accounting to `metrics` (nullptr records nothing), so
 /// keys sum over a run's parts: gather.seconds, apply.seconds and

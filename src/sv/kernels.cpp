@@ -103,8 +103,10 @@ std::vector<cplx> diagonal_phases(const Gate& g) {
   return ph;
 }
 
-void apply_gate_on(StateVector& state, const Gate& g,
-                   const std::vector<Qubit>& qs, const KernelOps& ops) {
+}  // namespace
+
+void apply_gate(StateVector& state, const Gate& g, const KernelOps& ops) {
+  const std::vector<Qubit>& qs = g.qubits;
   for (Qubit q : qs) HISIM_CHECK(q < state.num_qubits());
   // Per-apply twin of the plan-level tier check (plan_validate.cpp): a
   // Simd table must never reach dispatch on a host that cannot run it.
@@ -177,23 +179,6 @@ void apply_gate_on(StateVector& state, const Gate& g,
     for (unsigned i = 0; i < nc; ++i) cmask |= Index{1} << qs[i];
     ops.apply_ctrl_1q(state, sorted, cmask, qs.back(), m.data().data());
   }
-}
-
-}  // namespace
-
-void apply_gate(StateVector& state, const Gate& gate, const KernelOps& ops) {
-  apply_gate_on(state, gate, gate.qubits, ops);
-}
-
-void apply_gate_remapped(StateVector& state, const Gate& gate,
-                         std::span<const Qubit> slot_of,
-                         const KernelOps& ops) {
-  std::vector<Qubit> qs(gate.qubits.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    HISIM_CHECK(gate.qubits[i] < slot_of.size());
-    qs[i] = slot_of[gate.qubits[i]];
-  }
-  apply_gate_on(state, gate, qs, ops);
 }
 
 double gate_flops(const Gate& gate, unsigned num_qubits) {

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <span>
-
 #include "circuit/gate.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
@@ -25,14 +23,6 @@ namespace hisim::sv {
 /// blocks via parallel::for_range.
 void apply_gate(StateVector& state, const Gate& gate,
                 const KernelOps& ops = kernel_ops());
-
-/// Applies `gate` with its qubit operands remapped through `slot_of`:
-/// original qubit q acts on state qubit slot_of[q]. Used by the
-/// hierarchical simulator (inner state vectors) and the distributed layer
-/// (local slots). Entries for qubits the gate does not touch are ignored.
-void apply_gate_remapped(StateVector& state, const Gate& gate,
-                         std::span<const Qubit> slot_of,
-                         const KernelOps& ops = kernel_ops());
 
 /// Counts the floating-point work of one gate application on an n-qubit
 /// state, matching what the kernels above actually execute:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -45,7 +46,15 @@ PauliString PauliString::parse(const std::string& text) {
       while (j < text.size() &&
              std::isdigit(static_cast<unsigned char>(text[j])))
         ++j;
-      add(c, static_cast<Qubit>(std::stoul(text.substr(i + 1, j - i - 1))));
+      // An index that does not fit a Qubit must fail here, not wrap to a
+      // qubit PauliString::check accepts.
+      Qubit q = 0;
+      const auto [end, ec] =
+          std::from_chars(text.data() + i + 1, text.data() + j, q);
+      HISIM_CHECK_MSG(ec == std::errc() && end == text.data() + j,
+                      "qubit index of Pauli factor '"
+                          << text.substr(i, j - i) << "' is out of range");
+      add(c, q);
       i = j;
     }
   } else {

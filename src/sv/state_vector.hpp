@@ -51,6 +51,11 @@ class StateVector {
   std::vector<cplx> amps_;
 };
 
+/// Inner-vector budget in qubits: 2^21 amplitudes (32 MiB), an LLC-sized
+/// working set. The engine's auto limit is this width, and run_part
+/// (sv/hierarchical.hpp) keeps its per-thread inner vectors within it.
+inline constexpr unsigned kInnerBudgetQubits = 21;
+
 /// Fixed, machine-independent block grid for deterministic parallel
 /// reductions over a state's amplitudes (norm, expectations, marginals,
 /// sampling): per-block partials are computed concurrently and merged

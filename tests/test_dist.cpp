@@ -93,7 +93,14 @@ INSTANTIATE_TEST_SUITE_P(
         DistCase{"qpe", 8, 2, partition::Strategy::DagP, 0},
         DistCase{"qnn", 8, 2, partition::Strategy::Nat, 0},
         DistCase{"adder37", 10, 2, partition::Strategy::DagP, 0},
-        DistCase{"grover", 7, 2, partition::Strategy::DagP, 0}),
+        DistCase{"grover", 7, 2, partition::Strategy::DagP, 0},
+        // p = 0: one rank, one step holding the whole circuit (the flat
+        // and hierarchical targets' plans). grover's 7-qubit MCX stays
+        // unlowered on one node, so its level 2 is the whole width.
+        DistCase{"qft", 8, 0, partition::Strategy::DagP, 0},
+        DistCase{"qft", 8, 0, partition::Strategy::DagP, 4},
+        DistCase{"qaoa", 8, 0, partition::Strategy::Nat, 3},
+        DistCase{"grover", 7, 0, partition::Strategy::Nat, 7}),
     [](const auto& ti) {
       return ti.param.name + "_p" + std::to_string(ti.param.p) + "_" +
              partition::strategy_name(ti.param.strategy) + "_l2" +

@@ -82,7 +82,8 @@ TEST(EdgeCase, SingleQubitParts) {
     const auto parts = partition::make_partition(d, opt);
     partition::validate(d, parts);
     sv::StateVector state(4);
-    sv::HierarchicalSimulator().run(c, parts, state);
+    for (const partition::Part& p : parts.parts)
+      sv::run_part(c, p.gates, p.qubits, state);
     EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
   }
 }
@@ -181,7 +182,7 @@ TEST(EdgeCase, ValidateRejectsCyclicHandCraft) {
 }
 
 TEST(EdgeCase, HierarchicalWithPrePreparedState) {
-  // run() must act on the provided state, not reset it.
+  // run_part must act on the provided state, not reset it.
   Circuit prep(5), body(5);
   prep.add(Gate::x(4));
   body.add(Gate::cx(4, 0));
@@ -189,7 +190,8 @@ TEST(EdgeCase, HierarchicalWithPrePreparedState) {
   sv::FlatSimulator().run(prep, state);
   const dag::CircuitDag d(body);
   const auto parts = partition::partition_nat(d, 2);
-  sv::HierarchicalSimulator().run(body, parts, state);
+  for (const partition::Part& p : parts.parts)
+    sv::run_part(body, p.gates, p.qubits, state);
   EXPECT_NEAR(state.prob_one(0), 1.0, 1e-12);
   EXPECT_NEAR(state.prob_one(4), 1.0, 1e-12);
 }
@@ -211,7 +213,8 @@ TEST(EdgeCase, DeepCircuitManyParts) {
   const auto parts = partition::make_partition(d, opt);
   partition::validate(d, parts);
   sv::StateVector state(8);
-  sv::HierarchicalSimulator().run(c, parts, state);
+  for (const partition::Part& p : parts.parts)
+    sv::run_part(c, p.gates, p.qubits, state);
   EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
 }
 

@@ -71,7 +71,7 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     expect_bit_identical(Engine::compile(c, o).execute().state,
                          sv::FlatSimulator().simulate(c), "flat");
   }
-  {  // Hierarchical vs make_partition + HierarchicalSimulator.
+  {  // Hierarchical vs make_partition + run_part over every part.
     Options o;
     o.target = Target::Hierarchical;
     o.limit = 5;
@@ -80,7 +80,8 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     po.limit = 5;
     const auto parts = partition::make_partition(dag, po);
     sv::StateVector legacy(n);
-    sv::HierarchicalSimulator().run(c, parts, legacy);
+    for (const partition::Part& p : parts.parts)
+      sv::run_part(c, p.gates, p.qubits, legacy);
     expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
                          "hierarchical");
   }
@@ -128,6 +129,10 @@ TEST(Engine, PartitionWorkOnlyAtCompile) {
       EXPECT_GT(after_compile, before) << target_name(o.target);
       // A limit below the circuit width splits the circuit.
       EXPECT_GT(plan.num_parts(), 1u) << target_name(o.target);
+    } else {
+      // Flat is one part holding every gate: no partitioner call.
+      EXPECT_EQ(after_compile, before) << target_name(o.target);
+      EXPECT_EQ(plan.partition_seconds(), 0.0) << target_name(o.target);
     }
 
     const Result r1 = plan.execute();

@@ -4,6 +4,7 @@
 
 #include "circuits/generators.hpp"
 #include "common/error.hpp"
+#include "partition/partition.hpp"
 #include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
 
@@ -107,7 +108,8 @@ TEST(Fusion, ComposesWithPartitioning) {
   partition::validate(d, parts);
   const auto ref = sv::FlatSimulator().simulate(c);
   sv::StateVector state(9);
-  sv::HierarchicalSimulator().run(f, parts, state);
+  for (const partition::Part& p : parts.parts)
+    sv::run_part(f, p.gates, p.qubits, state);
   EXPECT_LT(state.max_abs_diff(ref), 1e-9);
 }
 

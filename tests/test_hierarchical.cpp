@@ -24,6 +24,14 @@ std::uint64_t pool_tasks() {
   return trace::MetricsRegistry::global().counter("pool.tasks").value();
 }
 
+/// Alg. 1 over a whole partitioning: every part through run_part.
+void run_parts(const Circuit& c, const partition::Partitioning& parts,
+               StateVector& state,
+               std::map<std::string, double>* metrics = nullptr) {
+  for (const partition::Part& p : parts.parts)
+    run_part(c, p.gates, p.qubits, state, metrics);
+}
+
 struct Case {
   std::string name;
   unsigned qubits;
@@ -45,7 +53,8 @@ TEST_P(HierarchicalMatchesFlat, SameAmplitudes) {
 
   const StateVector flat = FlatSimulator().simulate(c);
   std::map<std::string, double> m;
-  const StateVector hier = HierarchicalSimulator().simulate(c, parts, &m);
+  StateVector hier(c.num_qubits());
+  run_parts(c, parts, hier, &m);
   EXPECT_LT(hier.max_abs_diff(flat), 1e-10)
       << tc.name << " " << partition::strategy_name(tc.strategy);
   // Every part gathers and scatters the whole outer vector once.
@@ -80,7 +89,8 @@ TEST(Hierarchical, SinglePartEqualsFlat) {
   const partition::Partitioning p = partition::partition_nat(d, 6);
   ASSERT_EQ(p.num_parts(), 1u);
   const StateVector flat = FlatSimulator().simulate(c);
-  const StateVector hier = HierarchicalSimulator().simulate(c, p);
+  StateVector hier(c.num_qubits());
+  run_parts(c, p, hier);
   EXPECT_LT(hier.max_abs_diff(flat), 1e-12);
 }
 
@@ -108,8 +118,8 @@ TEST(Hierarchical, StatsTrafficScalesWithParts) {
   const partition::Partitioning fine = partition::partition_nat(d, 3);
   StateVector s1(10), s2(10);
   std::map<std::string, double> m1, m2;
-  HierarchicalSimulator().run(c, coarse, s1, &m1);
-  HierarchicalSimulator().run(c, fine, s2, &m2);
+  run_parts(c, coarse, s1, &m1);
+  run_parts(c, fine, s2, &m2);
   ASSERT_GT(fine.num_parts(), coarse.num_parts());
   EXPECT_GT(m2.at("sv.outer_bytes_moved"), m1.at("sv.outer_bytes_moved"));
   EXPECT_LT(s1.max_abs_diff(s2), 1e-10);
@@ -121,7 +131,7 @@ TEST(Hierarchical, FlopsAccounted) {
   const partition::Partitioning p = partition::partition_nat(d, 4);
   StateVector s(8);
   std::map<std::string, double> m;
-  HierarchicalSimulator().run(c, p, s, &m);
+  run_parts(c, p, s, &m);
   EXPECT_GT(m.at("sv.flops"), 0.0);
   EXPECT_GT(m.at("sv.inner_bytes_touched"), 0.0);
 }
@@ -152,16 +162,16 @@ TEST(Hierarchical, FanOutBitIdenticalAcrossThreadCounts) {
 
   StateVector one = init, four = init, nested = init;
   parallel::set_num_threads(1);
-  HierarchicalSimulator().run(c, parts, one);
+  run_parts(c, parts, one);
   parallel::set_num_threads(4);
   std::uint64_t before = pool_tasks();
-  HierarchicalSimulator().run(c, parts, four);
+  run_parts(c, parts, four);
   const std::uint64_t tasks = pool_tasks() - before;
   before = pool_tasks();
   {
     // As inside a sweep point: one thread, no pool tasks.
     parallel::inline_scope inline_only;
-    HierarchicalSimulator().run(c, parts, nested);
+    run_parts(c, parts, nested);
   }
   const std::uint64_t nested_tasks = pool_tasks() - before;
   parallel::set_num_threads(0);

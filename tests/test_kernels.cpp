@@ -113,15 +113,6 @@ TEST(Kernels, GhzProbabilities) {
   for (Qubit q = 0; q < 3; ++q) EXPECT_NEAR(s.prob_one(q), 0.5, 1e-12);
 }
 
-TEST(Kernels, RemappedGateActsOnSlots) {
-  // cx(0,1) remapped through slot_of = {2,0,1}: acts on state qubits 2,0.
-  StateVector a = random_state(3, 5), b = a;
-  const std::vector<Qubit> slot_of = {2, 0, 1};
-  apply_gate_remapped(a, Gate::cx(0, 1), slot_of);
-  apply_gate(b, Gate::cx(2, 0));
-  EXPECT_LT(a.max_abs_diff(b), 1e-15);
-}
-
 TEST(Kernels, FlopsModel) {
   EXPECT_GT(gate_flops(Gate::h(0), 10), 0.0);
   EXPECT_GT(gate_flops(Gate::rz(0, 1.0), 10), 0.0);

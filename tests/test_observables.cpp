@@ -100,6 +100,17 @@ TEST(PauliParse, DenseForm) {
 TEST(PauliParse, Rejects) {
   EXPECT_THROW(PauliString::parse("Q0"), Error);
   EXPECT_THROW(PauliString::parse("Z0*Z0"), Error);
+  // An index past the 32-bit Qubit must not wrap (2^32 would read as Z0)
+  // or escape as std::out_of_range; the Error names the factor.
+  for (const std::string factor : {"Z4294967296", "X99999999999999999999999"}) {
+    try {
+      (void)PauliString::parse("Z1*" + factor);
+      ADD_FAILURE() << factor << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(factor), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Expectation, GroundStateZ) {

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <sstream>
+
 #include "common/rng.hpp"
+#include "dist/hisvsim_dist.hpp"
 #include "hisvsim/engine.hpp"
 #include "partition/exact.hpp"
-#include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
 #include "testing/random_circuits.hpp"
 
@@ -16,8 +20,49 @@ namespace {
 
 using testutil::random_circuit;
 
+bool bit_identical(const sv::StateVector& a, const sv::StateVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+/// One draw of the compile configuration a target chooses: p process
+/// qubits, the level-1 limit, the level-2 limit (0 = off) and the strategy.
+struct Draw {
+  unsigned p = 0, limit = 0, level2 = 0;
+  partition::Strategy strategy = partition::Strategy::DagP;
+
+  std::string describe() const {
+    std::ostringstream os;
+    os << "p=" << p << " limit=" << limit << " level2=" << level2
+       << " strategy=" << partition::strategy_name(strategy);
+    return os.str();
+  }
+};
+
+/// p in [0, n-2]; the level-1 limit in [lo, n-p], where one node starts at
+/// the widest gate and shards start at 2 (narrower shards lower the wide
+/// gates to the limit); the level-2 limit 0 or in [widest gate left,
+/// limit].
+Draw draw_config(Rng& rng, unsigned n, unsigned widest) {
+  Draw d;
+  d.p = static_cast<unsigned>(rng.below(n - 1));
+  const unsigned l = n - d.p;
+  const unsigned lo = d.p == 0 ? widest : 2;
+  d.limit = lo + static_cast<unsigned>(rng.below(l - lo + 1));
+  const unsigned w = std::min(widest, d.limit);
+  const unsigned pick = static_cast<unsigned>(rng.below(d.limit - w + 2));
+  d.level2 = pick == 0 ? 0 : w + pick - 1;
+  constexpr partition::Strategy kStrategies[] = {
+      partition::Strategy::Nat, partition::Strategy::Dfs,
+      partition::Strategy::DagP};
+  d.strategy = kStrategies[rng.below(3)];
+  return d;
+}
+
 class RandomCircuits : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Every target, under every drawn configuration, matches flat within 1e-9,
+// and executing one plan twice gives the same bits.
 TEST_P(RandomCircuits, AllPathsAgree) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed * 77 + 1);
@@ -25,33 +70,67 @@ TEST_P(RandomCircuits, AllPathsAgree) {
   const std::size_t gates = 20 + rng.below(60);
   const Circuit c = random_circuit(n, gates, seed);
   const sv::StateVector ref = sv::FlatSimulator().simulate(c);
+  unsigned widest = 1;
+  for (const Gate& g : c.gates()) widest = std::max(widest, g.arity());
 
-  const dag::CircuitDag d(c);
-  const unsigned limit = 3 + static_cast<unsigned>(rng.below(n - 3));
+  for (int draw = 0; draw < 4; ++draw) {
+    const Draw d = draw_config(rng, n, widest);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " n=" + std::to_string(n) +
+                 " " + d.describe());
 
-  for (auto s : {partition::Strategy::Nat, partition::Strategy::Dfs,
-                 partition::Strategy::DagP}) {
-    partition::PartitionOptions opt;
-    opt.limit = limit;
-    opt.strategy = s;
-    opt.seed = seed;
-    const auto parts = partition::make_partition(d, opt);
-    partition::validate(d, parts);
-    const auto state = sv::HierarchicalSimulator().simulate(c, parts);
-    EXPECT_LT(state.max_abs_diff(ref), 1e-9)
-        << "seed " << seed << " " << partition::strategy_name(s) << " limit "
-        << limit;
-  }
+    // One node is (p = 0, limit n): flat has no level 2, hierarchical runs
+    // Alg. 1 at the drawn level-2 limit (0 = auto). The sharded targets
+    // take the whole draw.
+    std::vector<Options> targets;
+    const auto add = [&](Target t) {
+      Options o;
+      o.target = t;
+      o.strategy = d.strategy;
+      o.seed = seed;
+      if (t == Target::Hierarchical) o.limit = d.level2;
+      if (target_is_distributed(t)) {
+        o.process_qubits = d.p;
+        o.limit = d.limit;
+        if (t != Target::IqsBaseline) o.level2_limit = d.level2;
+      }
+      targets.push_back(o);
+    };
+    if (d.p == 0) {
+      add(Target::Flat);
+      add(Target::Hierarchical);
+    } else {
+      add(Target::DistributedSerial);
+      add(Target::DistributedThreaded);
+      add(Target::IqsBaseline);
+    }
+    for (const Options& o : targets) {
+      const ExecutionPlan plan = Engine::compile(c, o);
+      plan.validate();  // layouts, gate cover, level-2 partitionings
+      const sv::StateVector first = plan.execute().state;
+      EXPECT_LT(first.max_abs_diff(ref), 1e-9) << target_name(o.target);
+      EXPECT_TRUE(bit_identical(first, plan.execute().state))
+          << target_name(o.target) << " repeat differs";
+    }
 
-  // Distributed HiSVSIM and the IQS baseline must agree with flat too.
-  const unsigned p = 1 + static_cast<unsigned>(rng.below(2));
-  for (Target t : {Target::DistributedSerial, Target::IqsBaseline}) {
-    Options opt;
-    opt.target = t;
-    opt.process_qubits = p;
-    opt.seed = seed;
-    EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-9)
-        << target_name(t) << " seed " << seed;
+    // One rank at any level-1 limit, on both exchange backends: the
+    // single-node targets only reach limit n.
+    if (d.p != 0) continue;
+    dist::DistOptions dopt;
+    dopt.part.limit = d.limit;
+    dopt.part.strategy = d.strategy;
+    dopt.part.seed = seed;
+    dopt.level2_limit = d.level2;
+    const dist::DistPlan plan = dist::compile_plan(c, dopt);
+    dist::validate_plan(plan);
+    for (dist::CommBackend* backend :
+         {&dist::serial_backend(), &dist::threaded_backend()}) {
+      dist::DistState a(n, 0), b(n, 0);
+      dist::execute_plan(plan, a, {}, nullptr, backend);
+      dist::execute_plan(plan, b, {}, nullptr, backend);
+      EXPECT_LT(a.local(0).max_abs_diff(ref), 1e-9) << "one-rank plan";
+      EXPECT_TRUE(bit_identical(a.local(0), b.local(0)))
+          << "one-rank plan repeat differs";
+    }
   }
 }
 
@@ -80,6 +159,7 @@ TEST_P(RandomPartitions, ExactNeverWorseThanHeuristics) {
     opt.strategy = s;
     opt.seed = seed;
     const auto parts = partition::make_partition(d, opt);
+    partition::validate(d, parts);
     if (exact.proven_optimal) {
       EXPECT_LE(exact.partitioning.num_parts(), parts.num_parts())
           << "seed " << seed << " vs " << partition::strategy_name(s);

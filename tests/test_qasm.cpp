@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "qasm/lexer.hpp"
@@ -129,6 +132,23 @@ TEST(Parser, ErrorsAreInformative) {
   EXPECT_THROW(parse("qreg q[2]; frobnicate q[0];"), Error);
   EXPECT_THROW(parse("qreg q[2]; rz() q[0];"), Error);
   EXPECT_THROW(parse("qreg q[2]; reset q[0];"), Error);
+  // Integers past `unsigned` are rejected before any narrowing: 2^32 must
+  // not wrap to q[0], and a register of 2^32 + 2 qubits must not declare
+  // 2. The Error names the literal.
+  for (const auto& [program, literal] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"qreg q[2]; x q[4294967296];", "4294967296"},
+           {"qreg q[4294967298];", "4294967298"},
+           {"qreg a[4294967295]; qreg b[2];", "2"}}) {
+    try {
+      (void)parse(program);
+      ADD_FAILURE() << program << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + literal + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Writer, RoundTripSimulatesIdentically) {

@@ -260,6 +260,14 @@ TEST(Trace, MetricsOnEveryTarget) {
           expect_keys({"gather.seconds", "scatter.seconds",
                        "sv.outer_bytes_moved", "sv.inner_bytes_touched",
                        "sv.flops"});
+        else
+          EXPECT_EQ(m.count("gather.seconds"), 0u);
+        // One rank exchanges nothing and reports no per-step distributions.
+        for (const auto& [key, value] : m) {
+          EXPECT_NE(key.rfind("exchange.", 0), 0u) << key;
+          EXPECT_NE(key.rfind("step.", 0), 0u) << key;
+        }
+        EXPECT_EQ(m.count("apply.seconds.sum"), 0u);
         EXPECT_EQ(r.total_seconds(), get("gather.seconds") +
                                          get("apply.seconds") +
                                          get("scatter.seconds"));
