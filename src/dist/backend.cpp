@@ -15,11 +15,10 @@ namespace {
 /// Fills destination shard r2 by pulling through the inverse permutation,
 /// in runs of 2^b offsets that the permutation leaves in place (b =
 /// run_bits of the local slots): each run is one contiguous source range,
-/// so it costs one index computation and one std::copy. `use_pool`
-/// parallelizes the run loop over parallel::for_range (only meaningful on
-/// the caller's thread; backend workers hold an inline_scope so the flag
-/// is moot there).
-void fill_shard(const ExchangePlan& plan, unsigned r2, bool use_pool) {
+/// so it costs one index computation and one std::copy. The run loop is
+/// split over the pool on the caller's thread and runs inline on a
+/// threaded-backend worker, which holds an inline_scope.
+void fill_shard(const ExchangePlan& plan, unsigned r2) {
   const unsigned l = plan.local_qubits;
   const unsigned n = static_cast<unsigned>(plan.inv.size());
   const Index ldim = Index{1} << l;
@@ -45,11 +44,8 @@ void fill_shard(const ExchangePlan& plan, unsigned r2, bool use_pool) {
   };
   // Chunks of whole runs: a grain that is a multiple of the run keeps
   // every chunk boundary on a run boundary.
-  if (use_pool)
-    parallel::for_range(0, ldim, move_runs,
-                        std::max(run, parallel::kDefaultGrain));
-  else
-    move_runs(0, ldim);
+  parallel::for_range(0, ldim, move_runs,
+                      std::max(run, parallel::kDefaultGrain));
 }
 
 /// Handle for exchanges that completed before start_exchange returned.
@@ -115,7 +111,7 @@ class ThreadedHandle final : public ExchangeHandle {
       for (unsigned r2 = r_begin; r2 < r_end; ++r2) {
         trace::TraceSpan span("exchange.shard", "exchange");
         span.arg("rank", r2);
-        fill_shard(plan_, r2, /*use_pool=*/false);
+        fill_shard(plan_, r2);
         {
           MutexLock lk(mu_);
           done_[r2] = 1;
@@ -149,31 +145,15 @@ class ThreadedHandle final : public ExchangeHandle {
 std::unique_ptr<ExchangeHandle> SerialBackend::start_exchange(
     const ExchangePlan& plan) {
   Timer timer;
-  for (unsigned r2 = 0; r2 < plan.num_ranks; ++r2)
-    fill_shard(plan, r2, /*use_pool=*/true);
+  for (unsigned r2 = 0; r2 < plan.num_ranks; ++r2) fill_shard(plan, r2);
   return std::make_unique<ReadyHandle>(timer.seconds());
-}
-
-void SerialBackend::run_groups(std::size_t count,
-                               const std::function<void(std::size_t)>& task) {
-  for (std::size_t i = 0; i < count; ++i) task(i);
 }
 
 std::unique_ptr<ExchangeHandle> ThreadedBackend::start_exchange(
     const ExchangePlan& plan) {
-  const unsigned cap = max_workers_ ? max_workers_ : parallel::num_threads();
-  const unsigned workers = std::max(1u, std::min(plan.physical, cap));
+  const unsigned workers =
+      std::max(1u, std::min(plan.physical, parallel::num_threads()));
   return std::make_unique<ThreadedHandle>(plan, workers);
-}
-
-void ThreadedBackend::run_groups(
-    std::size_t count, const std::function<void(std::size_t)>& task) {
-  parallel::for_range(
-      0, static_cast<Index>(count),
-      [&](Index lo, Index hi) {
-        for (Index i = lo; i < hi; ++i) task(static_cast<std::size_t>(i));
-      },
-      /*grain=*/1);
 }
 
 CommBackend& serial_backend() {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,49 +66,29 @@ class CommBackend {
   /// progress is observed through the handle.
   virtual std::unique_ptr<ExchangeHandle> start_exchange(
       const ExchangePlan& plan) = 0;
-
-  /// Barrier-style helper for per-gate pairwise exchanges (IQS baseline)
-  /// and other embarrassingly parallel shard-group work: runs `count`
-  /// independent tasks — task(i) must touch only its own shard group — and
-  /// returns when all have finished.
-  virtual void run_groups(std::size_t count,
-                          const std::function<void(std::size_t)>& task) = 0;
 };
 
 /// Reference backend: the exchange completes synchronously inside
 /// start_exchange (the permutation itself is parallelized over
-/// parallel::for_range, which preserves bit-identical output), and group
-/// tasks run as a plain loop on the calling thread.
+/// parallel::for_range, which preserves bit-identical output).
 class SerialBackend final : public CommBackend {
  public:
   const char* name() const override { return "serial"; }
   std::unique_ptr<ExchangeHandle> start_exchange(
       const ExchangePlan& plan) override;
-  void run_groups(std::size_t count,
-                  const std::function<void(std::size_t)>& task) override;
 };
 
-/// Overlap-capable backend: per-host worker threads (capped at the
-/// parallel worker count) fill their hosts' destination shards out of the
-/// source buffer and signal each shard as it completes, so the executor
-/// computes on arrived shards while the rest are in flight. Workers run
-/// under parallel::inline_scope — they never touch the shared fork-join
-/// pool, which stays available to the concurrently running compute.
+/// Overlap-capable backend: min(physical hosts, parallel::num_threads())
+/// worker threads fill their hosts' destination shards out of the source
+/// buffer and signal each shard as it completes, so the executor computes
+/// on arrived shards while the rest are in flight. Workers run under
+/// parallel::inline_scope — they never touch the shared fork-join pool,
+/// which stays available to the concurrently running compute.
 class ThreadedBackend final : public CommBackend {
  public:
-  /// max_workers = 0 — one worker per physical host, capped at
-  /// parallel::num_threads().
-  explicit ThreadedBackend(unsigned max_workers = 0)
-      : max_workers_(max_workers) {}
-
   const char* name() const override { return "threaded"; }
   std::unique_ptr<ExchangeHandle> start_exchange(
       const ExchangePlan& plan) override;
-  void run_groups(std::size_t count,
-                  const std::function<void(std::size_t)>& task) override;
-
- private:
-  unsigned max_workers_ = 0;
 };
 
 /// Backend selection surfaced through the CLI and bench --backend flags.

@@ -14,8 +14,7 @@
 
 namespace hisim::dist {
 
-DistPlan compile_plan(Circuit c, const DistOptions& opt,
-                      const RankLayout* initial) {
+DistPlan compile_plan(Circuit c, const DistOptions& opt) {
   const unsigned n = c.num_qubits();
   const unsigned p = opt.process_qubits;
   HISIM_CHECK_MSG(p < n, "need process_qubits < num_qubits");
@@ -28,10 +27,6 @@ DistPlan compile_plan(Circuit c, const DistOptions& opt,
   plan.num_qubits = n;
   plan.process_qubits = p;
   plan.level2_limit = opt.level2_limit;
-  plan.initial_layout = initial ? *initial : RankLayout::identity(n, p);
-  HISIM_CHECK_MSG(plan.initial_layout.num_qubits() == n &&
-                      plan.initial_layout.process_qubits() == p,
-                  "initial layout shape does not match circuit/options");
 
   // Gates wider than a shard can never be made fully local; lower them
   // first (Barenco recursion) so a valid one-exchange-per-part schedule
@@ -72,7 +67,8 @@ DistPlan compile_plan(Circuit c, const DistOptions& opt,
   // the previous part's, so the whole exchange schedule — and the gate
   // remapping it implies — is known before any amplitude exists.
   trace::TraceSpan schedule_span("schedule.build", "dist");
-  const RankLayout* prev = &plan.initial_layout;
+  const RankLayout identity = RankLayout::identity(n, p);
+  const RankLayout* prev = &identity;
   for (const partition::Part& part : parts.parts) {
     DistPlan::Step step;
     step.layout = RankLayout::for_part(n, p, part.qubits, *prev);
@@ -107,6 +103,26 @@ DistPlan compile_plan(Circuit c, const DistOptions& opt,
   return plan;
 }
 
+const Circuit& materialize(const DistPlan::Step& step,
+                           std::span<const double> param_values,
+                           std::span<const Gate> noise_ops, Circuit& storage) {
+  const bool noisy = !noise_ops.empty() && !step.noise_slots.empty();
+  if (!step.parametric && !noisy) return step.local;
+  // Only the angle values and the trajectory's slot operators change: the
+  // layout, slot remapping, and inner partitioning are the plan's.
+  trace::TraceSpan bind_span("bind", "dist");
+  storage = step.parametric ? step.local.bound(param_values) : step.local;
+  if (noisy)
+    for (const auto& [gi, slot] : step.noise_slots) {
+      HISIM_CHECK_MSG(slot < noise_ops.size(),
+                      "noise slot " << slot << " has no sampled operator");
+      Gate op = noise_ops[slot];
+      op.qubits = storage.gate(gi).qubits;
+      storage.set_gate(gi, std::move(op));
+    }
+  return storage;
+}
+
 void execute_plan(const DistPlan& plan, DistState& state,
                   const NetworkModel& net,
                   std::map<std::string, double>* metrics,
@@ -120,8 +136,8 @@ void execute_plan(const DistPlan& plan, DistState& state,
   const unsigned p = plan.process_qubits;
   HISIM_CHECK_MSG(state.num_qubits() == n && state.num_ranks() == (1u << p),
                   "state shape does not match plan");
-  HISIM_CHECK_MSG(state.layout() == plan.initial_layout,
-                  "state layout does not match the plan's initial layout");
+  HISIM_CHECK_MSG(state.layout() == RankLayout::identity(n, p),
+                  "state layout is not the identity the plan starts from");
   const unsigned v = state.num_ranks();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
   // One rank never exchanges. It reports like Alg. 1 on one node instead:
@@ -167,33 +183,10 @@ void execute_plan(const DistPlan& plan, DistState& state,
     // backend — its movement already happened).
     const double comm_begin = wall.seconds();
 
-    // Materialize a parametric or noisy step while the exchange is
-    // (possibly) still in flight: only the angle values and the
-    // trajectory's sampled slot operators are substituted — the layout,
-    // slot remapping, and inner partitioning above are the plan's
-    // precomputed structure. Gate count and order are preserved, so
-    // step.inner's gate indices stay valid.
-    Circuit bound_storage;
-    const Circuit* local_circuit = &step.local;
-    if (step.parametric || (!noise_ops.empty() && !step.noise_slots.empty())) {
-      trace::TraceSpan bind_span("bind", "dist");
-      if (step.parametric) {
-        bound_storage = step.local.bound(param_values);
-        local_circuit = &bound_storage;
-      }
-      if (!noise_ops.empty() && !step.noise_slots.empty()) {
-        if (local_circuit != &bound_storage) bound_storage = step.local;
-        for (const auto& [gi, slot] : step.noise_slots) {
-          HISIM_CHECK_MSG(slot < noise_ops.size(),
-                          "noise slot " << slot << " has no sampled operator");
-          Gate op = noise_ops[slot];
-          op.qubits = bound_storage.gate(gi).qubits;
-          bound_storage.set_gate(gi, std::move(op));
-        }
-        local_circuit = &bound_storage;
-      }
-    }
-    const Circuit& local = *local_circuit;
+    // Bind and substitute while the exchange is (possibly) in flight.
+    Circuit storage;
+    const Circuit& local =
+        materialize(step, param_values, noise_ops, storage);
 
     // (2) Local apply: the plan already holds the part's gates remapped to
     // local slots, so each gate is block-diagonal over ranks and applies
@@ -256,11 +249,13 @@ void execute_plan(const DistPlan& plan, DistState& state,
     pipelined += std::max(prev_comp, part_comm);
     prev_comp = part_comp;
     // Counter tracks in the trace viewer: cumulative modeled network
-    // bytes and messages after each step.
-    trace::counter_sample("exchange.bytes",
-                          static_cast<double>(c_bytes.value()));
-    trace::counter_sample("exchange.messages",
-                          static_cast<double>(c_messages.value()));
+    // bytes and messages after each step. One rank never exchanges.
+    if (v > 1) {
+      trace::counter_sample("exchange.bytes",
+                            static_cast<double>(c_bytes.value()));
+      trace::counter_sample("exchange.messages",
+                            static_cast<double>(c_messages.value()));
+    }
   }
   pipelined += prev_comp;
 

@@ -40,16 +40,16 @@ struct DistPlan {
   unsigned process_qubits = 0;   // p: 2^p virtual ranks
   unsigned level2_limit = 0;     // nonzero = steps carry inner partitions
   Circuit circuit;               // lowered when wide gates required it
-  RankLayout initial_layout;     // layout the exchange schedule starts from
   std::size_t inner_parts = 0;   // total second-level parts across steps
   double partition_seconds = 0;  // both levels' partitioning wall time
 
-  /// One entry per first-level part, in execution order.
+  /// One entry per first-level part, in execution order; the exchange
+  /// schedule starts from RankLayout::identity(n, p).
   struct Step {
     RankLayout layout;   // post-exchange layout (== previous when no move)
     /// The part's gates with qubits remapped to local slots under
     /// `layout` — ready for a direct shard-local apply. May still carry
-    /// symbolic parameters; execute_plan materializes them per binding.
+    /// symbolic parameters; materialize() binds them per execution.
     Circuit local;
     /// Second-level partitioning of `local` (empty when level2_limit == 0).
     /// Gate indices stay valid across binding: materialization preserves
@@ -89,14 +89,25 @@ void validate_plan(const DistPlan& plan);
 /// IQS-style baseline pays one pairwise exchange per gate that mixes a
 /// process qubit. A level-1 limit of n or more (only possible at p = 0)
 /// makes the whole circuit one part without building the DAG or calling
-/// the partitioner. `initial` is the layout the target state will carry
-/// when execution starts; nullptr = identity. Throws unless p < n, and if
-/// an arity-2 gate exceeds the local qubit count.
-DistPlan compile_plan(Circuit c, const DistOptions& opt,
-                      const RankLayout* initial = nullptr);
+/// the partitioner. Throws unless p < n, and if an arity-2 gate exceeds
+/// the local qubit count.
+DistPlan compile_plan(Circuit c, const DistOptions& opt);
 
-/// Runs a compiled plan on `state` (whose layout must equal
-/// plan.initial_layout). Repeatable: only amplitudes move; no partitioning
+/// The circuit `step` applies in one execution: its slot-local gates with
+/// symbolic parameters bound to `param_values` (indexed by the source
+/// circuit's param ids, as produced by resolve_binding) and the
+/// trajectory's sampled `noise_ops` (indexed by slot id, each on canonical
+/// qubit 0; see noise/trajectory.hpp) substituted onto its reserved noise
+/// slots. Returns step.local itself when the step needs neither, else the
+/// copy built in `storage`. Gate count and order are preserved, so
+/// step.inner's gate indices stay valid. Throws hisim::Error naming an
+/// unbound parameter, or for a slot with no sampled operator.
+const Circuit& materialize(const DistPlan::Step& step,
+                           std::span<const double> param_values,
+                           std::span<const Gate> noise_ops, Circuit& storage);
+
+/// Runs a compiled plan on `state`, which must carry the identity layout
+/// the schedule starts from. Repeatable: only amplitudes move; no partitioning
 /// or layout planning happens here. Per step, the exchange runs through
 /// `backend` (nullptr = serial_backend()) and is charged against `net`;
 /// then every rank applies the step's slot-local gates to its own shard,
@@ -104,22 +115,13 @@ DistPlan compile_plan(Circuit c, const DistOptions& opt,
 /// (ThreadedBackend) a rank starts as soon as its shard has arrived: the
 /// comm/compute overlap of Sec. V-C, measured rather than modeled.
 ///
-/// `param_values` is the binding context for a parameterized plan (values
-/// indexed by the source circuit's param ids, as produced by
-/// resolve_binding): each parametric step's local sub-circuit is
-/// materialized against it just before the shard-local apply — the
-/// exchange schedule, layouts, and inner partitions are reused as-is.
-/// Executing a parametric step with no covering value throws hisim::Error
-/// naming the parameter.
-///
-/// `noise_ops` is one trajectory's sampled operator per noise slot
-/// (indexed by slot id, each on canonical qubit 0; see
-/// noise/trajectory.hpp). Steps with reserved slots substitute their
-/// operators during the same per-step materialization — like bindings,
-/// this overlaps the exchange, and since every sampled operator is
-/// single-qubit on a slot the plan already made local, the exchange
-/// schedule is byte-identical to the ideal run. Empty = ideal execution
-/// (slots apply as identities).
+/// `param_values` (the binding of a parameterized plan) and `noise_ops`
+/// (one trajectory's sampled slot operators; empty = ideal execution,
+/// slots apply as identities) reach each step through materialize(), just
+/// after its exchange is launched, so binding overlaps data movement. The
+/// exchange schedule, layouts, and inner partitions are reused as-is:
+/// every sampled operator is single-qubit on a slot the plan already made
+/// local, so a noisy run's exchanges are byte-identical to the ideal run's.
 ///
 /// `kernels` selects the apply-kernel tier for every shard-local gate
 /// (nullptr = the Auto-resolved default; see sv/kernel_dispatch.hpp).

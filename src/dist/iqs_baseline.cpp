@@ -58,7 +58,6 @@ bool is_identity(const Matrix& m) {
 void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
                                const NetworkModel& net,
                                std::map<std::string, double>* metrics,
-                               CommBackend* backend_ptr,
                                const sv::KernelOps* kernels) const {
   const sv::KernelOps& kops =
       kernels != nullptr ? *kernels : sv::kernel_ops();
@@ -70,7 +69,6 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
       "IQS baseline requires the identity layout");
   const unsigned v = state.num_ranks();
   const Index ldim = state.layout().local_dim();
-  CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
   CommStats comm;
   Stopwatch compute;
@@ -84,11 +82,8 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
                     [l](Qubit q) { return q >= l; });
     if (!any_global) {
       // Under the identity layout local qubit == local slot: apply as-is.
-      // Shards are independent — one backend group per rank.
       compute.start();
-      backend.run_groups(v, [&](std::size_t r) {
-        sv::apply_gate(state.local(static_cast<unsigned>(r)), g, kops);
-      });
+      for (unsigned r = 0; r < v; ++r) sv::apply_gate(state.local(r), g, kops);
       compute.stop();
       continue;
     }
@@ -105,8 +100,7 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
       // own process-qubit values, so the gate restricts to a rank-local
       // operator (possibly the identity, or a pure scalar phase).
       compute.start();
-      backend.run_groups(v, [&](std::size_t rr) {
-        const unsigned r = static_cast<unsigned>(rr);
+      for (unsigned r = 0; r < v; ++r) {
         std::vector<int> fixed(g.arity(), -1);
         std::vector<Qubit> local_ops;
         for (unsigned j = 0; j < g.arity(); ++j) {
@@ -116,7 +110,7 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
             local_ops.push_back(g.qubits[j]);
         }
         const Matrix sub = restrict_matrix(m, fixed);
-        if (is_identity(sub)) return;
+        if (is_identity(sub)) continue;
         if (local_ops.empty()) {
           const cplx phase = sub(0, 0);
           for (Index i = 0; i < ldim; ++i) state.local(r)[i] *= phase;
@@ -127,16 +121,14 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
           sv::apply_gate(state.local(r), Gate::kraus(local_ops, sub),
                          kops);
         }
-      });
+      }
       compute.stop();
       continue;
     }
 
     // Exchange path: ranks differing only in the global mixing bits form
     // groups of 2^|G|; each group member sends the partners' slices out,
-    // the gate runs on the combined vector, and the slices return. Groups
-    // partition the rank set, so they execute through the backend as
-    // independent tasks (the overlap-capable backend fans them out).
+    // the gate runs on the combined vector, and the slices return.
     Index gmask = 0;  // rank-bit mask of the global mixing positions
     for (unsigned j : global_mixing) gmask |= Index{1} << (g.qubits[j] - l);
     const unsigned gcount = static_cast<unsigned>(global_mixing.size());
@@ -146,13 +138,11 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
     for (Index base = 0; base < v; ++base)
       if ((base & gmask) == 0) leaders.push_back(static_cast<unsigned>(base));
 
-    // Per-leader member list, filled only by groups that exchanged (the
-    // indexed layout keeps the accounting deterministic under any backend
-    // execution order).
+    // Per-leader member list, filled only by groups that exchanged.
     std::vector<std::vector<unsigned>> exchanged(leaders.size());
 
     compute.start();
-    backend.run_groups(leaders.size(), [&](std::size_t li) {
+    for (std::size_t li = 0; li < leaders.size(); ++li) {
       const unsigned base = leaders[li];
       std::vector<unsigned> members(groups);
       for (Index gb = 0; gb < groups; ++gb)
@@ -179,7 +169,7 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
       // Groups whose restricted gate is the identity (e.g. an unsatisfied
       // process-qubit control) neither compute nor exchange anything.
       const Matrix sub = restrict_matrix(m, fixed);
-      if (is_identity(sub)) return;
+      if (is_identity(sub)) continue;
 
       sv::StateVector combined(l + gcount);
       for (Index gb = 0; gb < groups; ++gb) {
@@ -192,7 +182,7 @@ void IqsBaselineSimulator::run(const Circuit& c, DistState& state,
         for (Index i = 0; i < ldim; ++i) shard[i] = combined[(gb << l) | i];
       }
       exchanged[li] = std::move(members);
-    });
+    }
     compute.stop();
 
     // Accounting: per ordered pair within each group that actually

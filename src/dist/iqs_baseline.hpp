@@ -4,7 +4,6 @@
 #include <string>
 
 #include "circuit/circuit.hpp"
-#include "dist/backend.hpp"
 #include "dist/dist_state.hpp"
 #include "sv/kernel_dispatch.hpp"
 
@@ -27,12 +26,10 @@ class IqsBaselineSimulator {
   /// Runs `c` on `state`, which must carry the identity layout (throws
   /// otherwise — this baseline never relayouts). The layout is unchanged
   /// on return. Pass the same `net` given to dist::execute_plan when
-  /// comparing the two on a non-default interconnect. Rank-local
-  /// work and the pairwise exchange groups (which touch disjoint shard
-  /// sets) execute through `backend` (nullptr = serial_backend()); the
-  /// resulting state and exchange accounting are backend-independent.
-  /// `kernels` selects the apply-kernel tier (nullptr = the Auto-resolved
-  /// default).
+  /// comparing the two on a non-default interconnect. Ranks and pairwise
+  /// exchange groups run one after another on the calling thread; each
+  /// gate's kernels use the pool. `kernels` selects the apply-kernel tier
+  /// (nullptr = the Auto-resolved default).
   ///
   /// Writes into `metrics` (nullptr records nothing) the keys
   /// dist::execute_plan uses for the same quantities: apply.seconds.sum
@@ -42,7 +39,6 @@ class IqsBaselineSimulator {
   /// exchange.modeled_avg_seconds.
   void run(const Circuit& c, DistState& state, const NetworkModel& net = {},
            std::map<std::string, double>* metrics = nullptr,
-           CommBackend* backend = nullptr,
            const sv::KernelOps* kernels = nullptr) const;
 };
 

@@ -154,9 +154,9 @@ void validate_plan(const DistPlan& plan) {
                   "plan circuit has " << plan.circuit.num_qubits()
                                       << " qubits, plan says " << n);
   const unsigned l = n - p;
-  check_layout_shape(plan.initial_layout, n, p, "initial layout", 0);
 
-  const RankLayout* prev = &plan.initial_layout;
+  const RankLayout identity = RankLayout::identity(n, p);
+  const RankLayout* prev = &identity;
   for (std::size_t si = 0; si < plan.steps.size(); ++si) {
     const DistPlan::Step& s = plan.steps[si];
     check_layout_shape(s.layout, n, p, "layout", si);

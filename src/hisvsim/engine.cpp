@@ -53,11 +53,18 @@ using detail::PlanImpl;
 
 namespace {
 
-/// The (p, level-1 limit, level-2 limit) a target compiles with; every
-/// target but iqs-baseline is one DistPlan. Single-node targets run on one
-/// rank with every qubit local: flat has no level 2, and hierarchical's
-/// level 2 is Alg. 1 at the explicit limit capped at the circuit width,
-/// else at the inner-vector budget (2^21 amplitudes = 32 MiB).
+/// The targets whose plan is sharded and exchanges once per part; only
+/// they run a second partitioning level.
+bool exchanges_per_part(Target t) {
+  return t == Target::DistributedSerial || t == Target::DistributedThreaded;
+}
+
+/// The (p, level-1 limit, level-2 limit) a target compiles with. Flat and
+/// iqs-baseline compile the one-part plan (0, n, off): flat runs it on one
+/// rank, iqs-baseline applies its gates one by one on 2^p shards.
+/// Hierarchical adds Alg. 1's level 2 at the explicit limit capped at the
+/// circuit width, else at the inner-vector budget (2^21 amplitudes =
+/// 32 MiB).
 dist::DistOptions dist_options(const Options& opt, unsigned num_qubits) {
   dist::DistOptions d;
   d.part.strategy = opt.strategy;
@@ -66,7 +73,7 @@ dist::DistOptions dist_options(const Options& opt, unsigned num_qubits) {
   if (opt.target == Target::Hierarchical) {
     d.level2_limit = std::min(
         opt.limit != 0 ? opt.limit : sv::kInnerBudgetQubits, num_qubits);
-  } else if (opt.target != Target::Flat) {
+  } else if (exchanges_per_part(opt.target)) {
     d.process_qubits = opt.process_qubits;
     d.part.limit = opt.limit;
     d.level2_limit = opt.level2_limit;
@@ -281,13 +288,13 @@ sv::KernelTier ExecutionPlan::kernel_tier() const {
 }
 const Circuit& ExecutionPlan::circuit() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
-  return impl_->executed_circuit();
+  return impl_->dplan.circuit;
 }
 // On one rank (p = 0) the level-1 step is the whole circuit, so the parts
 // are its level-2 parts when level 2 ran (Alg. 1), else that one step, and
-// no part is inner. iqs-baseline compiles no DistPlan and reports 0.
+// no part is inner. iqs-baseline applies gate by gate and reports 0.
 std::size_t ExecutionPlan::num_parts() const {
-  HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
+  if (target() == Target::IqsBaseline) return 0;
   const dist::DistPlan& d = impl_->dplan;
   return d.process_qubits == 0 && d.level2_limit > 0 ? d.inner_parts
                                                      : d.num_parts();
@@ -333,9 +340,7 @@ ExecutionPlan Engine::compile(const Circuit& c, const Options& opt) {
 ExecutionPlan Engine::compile(const Circuit& c) const {
   // Only the distributed-serial/-threaded executor runs a second level;
   // any other target would drop the limit without notice.
-  HISIM_CHECK_MSG(opt_.level2_limit == 0 ||
-                      opt_.target == Target::DistributedSerial ||
-                      opt_.target == Target::DistributedThreaded,
+  HISIM_CHECK_MSG(opt_.level2_limit == 0 || exchanges_per_part(opt_.target),
                   "level2_limit applies only to the distributed-serial and "
                   "distributed-threaded targets (target is "
                       << target_name(opt_.target) << ")");
@@ -389,16 +394,13 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
   impl->param_names = work.param_names();
   const unsigned n = work.num_qubits();
 
-  if (opt_.target == Target::IqsBaseline) {
+  if (opt_.target == Target::IqsBaseline)
     HISIM_CHECK_MSG(opt_.process_qubits > 0 && opt_.process_qubits < n,
                     "iqs-baseline requires 0 < process_qubits < qubits");
-    impl->circuit = std::move(work);
-  } else {
-    HISIM_CHECK_MSG(
-        !target_is_distributed(opt_.target) || opt_.process_qubits > 0,
-        "distributed targets require process_qubits > 0");
-    impl->dplan = dist::compile_plan(std::move(work), dist_options(opt_, n));
-  }
+  HISIM_CHECK_MSG(
+      !target_is_distributed(opt_.target) || opt_.process_qubits > 0,
+      "distributed targets require process_qubits > 0");
+  impl->dplan = dist::compile_plan(std::move(work), dist_options(opt_, n));
 
   impl->compile_seconds = compile_timer.seconds();
   // Compile-phase breakdown, merged into every execution's
@@ -418,7 +420,7 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
     // when no such matrix slipped in — the execute-side invariant keys
     // off this flag.
     impl->norm_preserving = true;
-    for (const Gate& g : impl->executed_circuit().gates())
+    for (const Gate& g : impl->dplan.circuit.gates())
       if (g.kind == GateKind::Unitary && !g.custom.is_unitary(1e-9)) {
         impl->norm_preserving = false;
         break;
@@ -444,7 +446,7 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
                                    std::span<const Gate> noise_ops) const {
   const PlanImpl& plan = *impl_;
   const Options& opt = plan.opt;
-  const Circuit& c = plan.executed_circuit();
+  const Circuit& c = plan.dplan.circuit;
   const unsigned n = c.num_qubits();
   trace::TraceSpan exec_span("execute", "engine");
 
@@ -474,30 +476,22 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   r.metrics = plan.compile_metrics;
 
   const bool iqs = opt.target == Target::IqsBaseline;
-  // The IQS baseline applies the whole circuit, so its symbolic angles are
-  // bound and the trajectory's sampled operators substituted here, before
-  // the run. dist::execute_plan does both per step instead, overlapping
-  // the exchange. Either way the plan structure is shared untouched.
-  const bool substitute = !noise_ops.empty() && !plan.noise.slots.empty();
-  Circuit bound;
-  const Circuit* whole = &c;
-  if (iqs && (!plan.param_names.empty() || substitute)) {
-    trace::TraceSpan bind_span("bind", "engine");
-    bound = plan.param_names.empty() ? c : c.bound(param_values);
-    if (substitute) noise::apply_ops(bound, noise_ops);
-    whole = &bound;
-  }
-
   Timer wall;
   dist::DistState st(n, iqs ? opt.process_qubits : plan.dplan.process_qubits);
   if (opts.initial_state) st.load_state_vector(*opts.initial_state);
-  if (iqs)
-    dist::IqsBaselineSimulator().run(*whole, st, opts.net, &r.metrics,
-                                     nullptr, plan.kernels);
-  else
+  if (iqs) {
+    // The one step is the whole circuit, bound and noise-substituted the
+    // way execute_plan materializes each of its steps.
+    Circuit storage;
+    dist::IqsBaselineSimulator().run(
+        dist::materialize(plan.dplan.steps.front(), param_values, noise_ops,
+                          storage),
+        st, opts.net, &r.metrics, plan.kernels);
+  } else {
     dist::execute_plan(plan.dplan, st, opts.net, &r.metrics,
                        backend_for_target(opt.target), param_values,
                        noise_ops, plan.kernels);
+  }
   r.metrics["execute.wall_seconds"] = wall.seconds();
 
   sv::StateVector state;
@@ -566,7 +560,7 @@ std::vector<Result> ExecutionPlan::execute_sweep(
   }
 
   // Shared ExecOptions preconditions fail here too, not on a worker.
-  check_exec_options(opts, impl_->executed_circuit().num_qubits());
+  check_exec_options(opts, impl_->dplan.circuit.num_qubits());
 
   // Each point is an independent execute() on private state, so the
   // points fan out over the worker pool; for_range regions issued inside
@@ -622,12 +616,12 @@ NoisyResult ExecutionPlan::execute_trajectories(
   // shape and the observables are identical for every trajectory.
   if (!plan.param_names.empty() || !opts.exec.bindings.empty())
     (void)resolve_binding(plan.param_names, opts.exec.bindings);
-  check_exec_options(opts.exec, plan.executed_circuit().num_qubits());
+  check_exec_options(opts.exec, plan.dplan.circuit.num_qubits());
 
   const std::size_t k = opts.exec.observables.size();
   NoisyResult nr;
-  nr.circuit = plan.executed_circuit().name();
-  nr.qubits = plan.executed_circuit().num_qubits();
+  nr.circuit = plan.dplan.circuit.name();
+  nr.qubits = plan.dplan.circuit.num_qubits();
   nr.target = plan.opt.target;
   nr.trajectories = num;
   nr.noise_slots = plan.noise.slots.size();

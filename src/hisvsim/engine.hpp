@@ -38,11 +38,11 @@
 /// ExecutionPlan::execute_sweep(), which fans out over the worker pool.
 namespace hisim {
 
-/// Where and how a compiled circuit executes. Every target but
-/// iqs-baseline compiles to one dist::DistPlan and runs through
-/// dist::execute_plan; it only chooses p, the level-1 limit and the level-2
-/// limit. Single-node targets hold one dense state vector on one rank
-/// (p = 0); distributed targets shard it over 2^p simulated ranks
+/// Where and how a compiled circuit executes. Every target compiles to one
+/// dist::DistPlan and only chooses p, the level-1 limit and the level-2
+/// limit; all but iqs-baseline run it through dist::execute_plan.
+/// Single-node targets hold one dense state vector on one rank (p = 0);
+/// distributed targets shard it over 2^p simulated ranks
 /// (Options::process_qubits).
 enum class Target {
   /// (p = 0, level 1 = n, no level 2): one part holding every gate,
@@ -57,8 +57,10 @@ enum class Target {
   /// Same executor with the threaded backend: exchange data movement
   /// overlaps shard-local compute, overlap is measured.
   DistributedThreaded,
-  /// IQS-style fixed-layout baseline (one pairwise exchange per gate that
-  /// mixes a process qubit) — the paper's comparison arm.
+  /// (p = 0, level 1 = n, no level 2), as flat, with its one part's gates
+  /// applied by the IQS-style fixed-layout baseline on 2^process_qubits
+  /// shards (one pairwise exchange per gate that mixes a process qubit) —
+  /// the paper's comparison arm.
   IqsBaseline,
 };
 
@@ -79,8 +81,9 @@ struct Options {
   partition::Strategy strategy = partition::Strategy::DagP;
   /// Working-set limit Lm. 0 = auto: local qubit count when distributed,
   /// otherwise sv::kInnerBudgetQubits (21 qubits ~ 32 MiB) capped at the
-  /// circuit width. Flat ignores it; on hierarchical it is the level-2
-  /// limit of the one-rank plan, whose level 1 holds the whole circuit.
+  /// circuit width. Flat and iqs-baseline ignore it; on hierarchical it is
+  /// the level-2 limit of the one-rank plan, whose level 1 holds the whole
+  /// circuit.
   unsigned limit = 0;
   /// Second-level (cache) limit of the distributed-serial/-threaded
   /// targets: each part is re-partitioned at this limit and runs its

@@ -29,7 +29,6 @@ namespace hisim::detail {
 /// and would serialize every concurrent execute.
 struct PlanImpl {
   Options opt;
-  Circuit circuit;  // Target::IqsBaseline executes this directly
   /// Symbolic parameter registry of the compiled circuit (id order).
   /// Non-empty iff the plan is parameterized, in which case every execute
   /// resolves ExecOptions::bindings against it and materializes gate
@@ -58,13 +57,9 @@ struct PlanImpl {
   /// merged into each execution's Result::metrics.
   std::map<std::string, double> compile_metrics;
 
-  /// Every other target executes this; flat and hierarchical are its
-  /// one-rank (p = 0) case.
+  /// Every target's compiled form. dist::execute_plan runs it for all but
+  /// iqs-baseline, whose one-part p = 0 plan feeds the per-gate baseline.
   dist::DistPlan dplan;
-
-  const Circuit& executed_circuit() const {
-    return opt.target == Target::IqsBaseline ? circuit : dplan.circuit;
-  }
 };
 
 }  // namespace hisim::detail

@@ -4,8 +4,8 @@
 #include "hisvsim/plan_impl.hpp"
 
 /// ExecutionPlan::validate() — the engine half of the checked-build layer
-/// (common/check.hpp; the plan half lives in dist/validate.cpp, and checks
-/// every target's DistPlan but iqs-baseline's). Like dist::validate_plan,
+/// (common/check.hpp; the plan half lives in dist/validate.cpp and checks
+/// every target's DistPlan). Like dist::validate_plan,
 /// everything here re-derives the plan's contract from first principles:
 /// noise slots are re-counted from the gates, and the kernel table is
 /// re-tested against the CPU — the validator never trusts the code paths
@@ -33,11 +33,9 @@ void check_kernels(const PlanImpl& p) {
 }
 
 void check_params(const PlanImpl& p) {
-  // executed_circuit() is impl.circuit for iqs-baseline (impl.circuit is
-  // intentionally left empty elsewhere) and dplan.circuit everywhere else
-  // — exactly the circuit whose parameters execute() resolves bindings
-  // against.
-  const std::vector<std::string>& names = p.executed_circuit().param_names();
+  // The plan circuit is the one whose parameters execute() resolves
+  // bindings against.
+  const std::vector<std::string>& names = p.dplan.circuit.param_names();
   HISIM_INVARIANT(names == p.param_names,
                   "executed circuit declares "
                       << names.size() << " symbolic parameters, plan registry "
@@ -57,10 +55,8 @@ void ExecutionPlan::validate() const {
   // Reserved noise slots must be dense, unique, and on their reserved
   // qubits in the circuit every execute() walks. Run unconditionally: for
   // a noiseless plan this doubles as "no stray NoiseSlot gates".
-  noise::validate_slots(p.executed_circuit(), p.noise);
-
-  // iqs-baseline compiles nothing beyond the circuit.
-  if (p.opt.target != Target::IqsBaseline) dist::validate_plan(p.dplan);
+  noise::validate_slots(p.dplan.circuit, p.noise);
+  dist::validate_plan(p.dplan);
 }
 
 }  // namespace hisim

@@ -104,20 +104,6 @@ std::vector<Gate> sample_ops(const CompiledNoise& cn,
   return ops;
 }
 
-void apply_ops(Circuit& c, std::span<const Gate> ops) {
-  if (ops.empty()) return;
-  for (std::size_t i = 0; i < c.num_gates(); ++i) {
-    const Gate& g = c.gate(i);
-    if (g.kind != GateKind::NoiseSlot) continue;
-    const unsigned id = g.noise_slot_id();
-    HISIM_CHECK_MSG(id < ops.size(),
-                    "noise slot " << id << " has no sampled operator");
-    Gate op = ops[id];
-    op.qubits = g.qubits;
-    c.set_gate(i, std::move(op));
-  }
-}
-
 void apply_readout(std::vector<Index>& samples, const CompiledNoise& cn,
                    std::uint64_t traj_seed) {
   if (!cn.has_readout() || samples.empty()) return;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -19,8 +18,8 @@
 /// At execute time each trajectory is fully determined by one 64-bit
 /// seed: sample_ops() draws a concrete operator per slot from the seed's
 /// RNG stream (state-independent probabilities — see noise_model.hpp),
-/// and the executor substitutes those operators into the reserved slots
-/// without touching any other compile artifact. Shot sampling and
+/// and dist::materialize substitutes those operators into the reserved
+/// slots without touching any other compile artifact. Shot sampling and
 /// readout corruption use separate streams derived from the same seed
 /// (shot_seed / readout apply_readout), so recording the per-trajectory
 /// seeds is enough to replay any trajectory bit-identically.
@@ -67,15 +66,10 @@ std::uint64_t shot_seed(std::uint64_t traj_seed);
 
 /// Samples one concrete operator per slot, in slot-id order, from the
 /// trajectory's noise stream. Each returned Gate acts on canonical qubit
-/// 0; the executor rewrites the qubit to the slot's (possibly remapped)
-/// position. Empty when `cn` has no slots.
+/// 0; dist::materialize rewrites the qubit to the slot's (possibly
+/// remapped) position. Empty when `cn` has no slots.
 std::vector<Gate> sample_ops(const CompiledNoise& cn,
                              std::uint64_t traj_seed);
-
-/// Replaces every NoiseSlot gate of `c` with its trajectory operator
-/// (ops indexed by slot id, as produced by sample_ops), keeping gate
-/// count and order — part and inner-partition gate indices stay valid.
-void apply_ops(Circuit& c, std::span<const Gate> ops);
 
 /// Applies the per-qubit readout confusion to sampled bitstrings in
 /// place, using the readout stream of `traj_seed`. No-op when the model

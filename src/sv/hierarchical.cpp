@@ -27,25 +27,22 @@ std::vector<Gate> remap_gates(const Circuit& c,
 }
 
 /// The cosets of a part's qubits in an n-qubit outer vector. Coset m holds
-/// the amplitudes deposit(m, outside) | offset[t] for t < 2^w: the part's
-/// qubits take every value while the others hold the bits of m. Cosets are
-/// disjoint, so workers may move different ones concurrently. This is the
-/// one place amplitudes move between an outer and an inner vector.
+/// the amplitudes deposit(m, outside) | deposit(t, mask) for t < 2^w: the
+/// part's qubits take every value while the others hold the bits of m.
+/// Cosets are disjoint, so workers may move different ones concurrently.
+/// This is the one place amplitudes move between an outer and an inner
+/// vector.
 class Cosets {
  public:
   Cosets(std::span<const Qubit> part_qubits, unsigned n)
-      : count_(Index{1} << (n - part_qubits.size())) {
-    Index mask = 0;
-    for (Qubit q : part_qubits) mask |= Index{1} << q;
-    outside_ = ~mask & ((Index{1} << n) - 1);
-    offset_.resize(Index{1} << part_qubits.size());
-    for (Index t = 0; t < offset_.size(); ++t)
-      offset_[t] = bits::deposit(t, mask);
+      : count_(Index{1} << (n - part_qubits.size())),
+        size_(Index{1} << part_qubits.size()) {
+    for (Qubit q : part_qubits) mask_ |= Index{1} << q;
+    outside_ = ~mask_ & ((Index{1} << n) - 1);
     // One block per thread on the split-copy path; blocks below the pool's
     // default grain are not worth a task.
     const Index threads = parallel::num_threads();
-    grain_ = std::max((offset_.size() + threads - 1) / threads,
-                      Index{1} << 12);
+    grain_ = std::max((size_ + threads - 1) / threads, Index{1} << 12);
   }
 
   Index count() const { return count_; }
@@ -53,30 +50,38 @@ class Cosets {
   /// Copies coset m into `inner` (2^w amplitudes). Split over the pool;
   /// inline inside a fan-out worker (nested-region rule).
   void gather(const cplx* outer, Index m, cplx* inner) const {
-    const Index base = bits::deposit(m, outside_);
-    parallel::for_range(
-        0, offset_.size(),
-        [&](Index lo, Index hi) {
-          for (Index t = lo; t < hi; ++t) inner[t] = outer[base | offset_[t]];
-        },
-        grain_);
+    walk(m, [&](Index t, Index i) { inner[t] = outer[i]; });
   }
 
   /// Copies `inner` back into coset m; the inverse of gather().
   void scatter(cplx* outer, Index m, const cplx* inner) const {
+    walk(m, [&](Index t, Index i) { outer[i] = inner[t]; });
+  }
+
+ private:
+  /// Calls copy(t, outer index of inner slot t) for every t of coset m.
+  /// Each chunk deposits its first t once, then steps to the next subset
+  /// of the mask: slots keep deposit order, so the copies are exact.
+  template <class Copy>
+  void walk(Index m, const Copy& copy) const {
     const Index base = bits::deposit(m, outside_);
+    const Index mask = mask_;
     parallel::for_range(
-        0, offset_.size(),
+        0, size_,
         [&](Index lo, Index hi) {
-          for (Index t = lo; t < hi; ++t) outer[base | offset_[t]] = inner[t];
+          Index d = bits::deposit(lo, mask);
+          for (Index t = lo; t < hi; ++t) {
+            copy(t, base | d);
+            d = ((d | ~mask) + 1) & mask;
+          }
         },
         grain_);
   }
 
- private:
   Index count_;
+  Index size_;
+  Index mask_ = 0;
   Index outside_ = 0;
-  std::vector<Index> offset_;
   Index grain_ = 1;
 };
 

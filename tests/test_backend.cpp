@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "common/rng.hpp"
 #include "dist/dist_state.hpp"
 #include "dist/hisvsim_dist.hpp"
-#include "dist/iqs_baseline.hpp"
 #include "sv/simulator.hpp"
 #include "testing/random_circuits.hpp"
 
@@ -167,19 +165,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(ti.param.level2);
     });
 
-TEST(BackendParity, IqsBaselineMatchesSerial) {
-  for (const char* name : {"bv", "qft", "cc"}) {
-    const Circuit c = circuits::make_by_name(name, 8);
-    DistState serial_st(8, 2), threaded_st(8, 2);
-    Metrics a, b;
-    IqsBaselineSimulator().run(c, serial_st, {}, &a, &serial_backend());
-    IqsBaselineSimulator().run(c, threaded_st, {}, &b, &threaded_backend());
-    expect_bit_identical(serial_st, threaded_st);
-    SCOPED_TRACE(name);
-    expect_same_exchange_accounting(a, b);
-  }
-}
-
 TEST(Backend, MeasuredTimesAreReportedAndBounded) {
   // The measured counterpart of the modeled pipelined estimate, on both
   // backends: hidden work never exceeds the comm or compute actually done.
@@ -211,16 +196,6 @@ TEST(Backend, MeasuredTimesAreReportedAndBounded) {
         EXPECT_EQ(overlap, 0.0);
       }
     }
-  }
-}
-
-TEST(Backend, RunGroupsCoversEveryGroupOnce) {
-  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
-    CommBackend& backend = backend_for(kind);
-    std::vector<std::atomic<int>> hits(37);
-    backend.run_groups(hits.size(),
-                       [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
 }
 

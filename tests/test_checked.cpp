@@ -201,28 +201,41 @@ TEST(Checked, SuiteCircuitsValidateUnderHierarchical) {
   }
 }
 
+/// The default (hierarchical) target and the IQS baseline: both compile
+/// through dist::compile_plan, so both plans go through the validators.
+std::vector<Options> hierarchical_and_iqs(unsigned limit) {
+  Options hier;
+  hier.limit = limit;
+  Options iqs;
+  iqs.target = Target::IqsBaseline;
+  iqs.process_qubits = 2;
+  return {hier, iqs};
+}
+
 TEST(Checked, FusedAndNoisyPlansValidate) {
   const Circuit c = fuse(circuits::qft(7), {.max_qubits = 3});
-  Options opt;
-  opt.limit = 5;
-  opt.noise.after_all_gates(noise::Channel::depolarizing(0.01));
-  const ExecutionPlan plan = Engine::compile(c, opt);
-  EXPECT_GT(plan.num_noise_slots(), 0u);
-  plan.validate();
-  const NoisyResult nr = plan.execute_trajectories(4);
-  EXPECT_EQ(nr.trajectories, 4u);
+  for (Options opt : hierarchical_and_iqs(5)) {
+    SCOPED_TRACE(target_name(opt.target));
+    opt.noise.after_all_gates(noise::Channel::depolarizing(0.01));
+    const ExecutionPlan plan = Engine::compile(c, opt);
+    EXPECT_GT(plan.num_noise_slots(), 0u);
+    plan.validate();
+    const NoisyResult nr = plan.execute_trajectories(4);
+    EXPECT_EQ(nr.trajectories, 4u);
+  }
 }
 
 TEST(Checked, ParameterizedPlanValidates) {
   const circuits::QaoaInstance inst = circuits::qaoa_instance(6, 2);
-  Options opt;
-  opt.limit = 4;
-  const ExecutionPlan plan = Engine::compile(inst.circuit, opt);
-  plan.validate();
-  ExecOptions eo;
-  eo.bindings = inst.uniform_binding(0.4, 0.7);
-  const Result r = plan.execute(eo);
-  EXPECT_NEAR(r.norm, 1.0, 1e-9);
+  for (const Options& opt : hierarchical_and_iqs(4)) {
+    SCOPED_TRACE(target_name(opt.target));
+    const ExecutionPlan plan = Engine::compile(inst.circuit, opt);
+    plan.validate();
+    ExecOptions eo;
+    eo.bindings = inst.uniform_binding(0.4, 0.7);
+    const Result r = plan.execute(eo);
+    EXPECT_NEAR(r.norm, 1.0, 1e-9);
+  }
 }
 
 }  // namespace

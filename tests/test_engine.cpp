@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -113,6 +114,23 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     dist::IqsBaselineSimulator().run(c, state);
     expect_bit_identical(Engine::compile(c, o).execute().state,
                          state.to_state_vector(), "iqs-baseline");
+
+    // A parametric plan binds per execute, exactly like binding first.
+    const circuits::QaoaInstance inst = circuits::qaoa_instance(n, 2, 7);
+    const ParamBinding binding = inst.uniform_binding(0.37, 1.21);
+    const std::vector<double> values =
+        resolve_binding(inst.circuit.param_names(), binding);
+    dist::DistState bound_state(n, 2);
+    dist::IqsBaselineSimulator().run(inst.circuit.bound(values), bound_state);
+    ExecOptions eo;
+    eo.bindings = binding;
+    const sv::StateVector engine_state =
+        Engine::compile(inst.circuit, o).execute(eo).state;
+    const sv::StateVector legacy = bound_state.to_state_vector();
+    ASSERT_EQ(engine_state.bytes(), legacy.bytes());
+    EXPECT_EQ(std::memcmp(engine_state.data(), legacy.data(), legacy.bytes()),
+              0)
+        << "parametric iqs-baseline";
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "circuits/generators.hpp"
 #include "common/parallel.hpp"
@@ -185,39 +186,48 @@ TEST(Hierarchical, FanOutBitIdenticalAcrossThreadCounts) {
 }
 
 // Split-copy path: one part covering all but one qubit has 2 cosets, fewer
-// than the 4 threads, so one inner vector is used and each gather and
-// scatter is split over the pool (at n = 15 into several chunks).
+// than 3 or 4 threads, so one inner vector is used and each gather and
+// scatter is split over the pool (at n = 15 into several chunks; with 3
+// threads they start at offsets that are not powers of two). The hole in
+// the middle splits the part's qubits; the top hole leaves the part
+// holding qubits 0..n-2.
 TEST(Hierarchical, SplitCopyBitIdenticalAcrossThreadCounts) {
-  for (const unsigned n : {9u, 15u}) {
-    // A random circuit on every qubit except `hole`, which stays outside
-    // the part and picks the coset.
-    const Qubit hole = n / 2;
-    std::vector<Qubit> part_qubits;
-    for (Qubit q = 0; q < n; ++q)
-      if (q != hole) part_qubits.push_back(q);
-    const Circuit small = testutil::random_circuit(n - 1, 120, n);
-    Circuit c(n);
-    std::vector<std::size_t> gates;
-    for (Gate g : small.gates()) {
-      for (Qubit& q : g.qubits) q = part_qubits[q];
-      gates.push_back(c.num_gates());
-      c.add(std::move(g));
+  for (const unsigned n : {9u, 15u})
+    for (const Qubit hole :
+         {static_cast<Qubit>(n / 2), static_cast<Qubit>(n - 1)}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " hole=" + std::to_string(hole));
+      // A random circuit on every qubit except `hole`, which stays outside
+      // the part and picks the coset.
+      std::vector<Qubit> part_qubits;
+      for (Qubit q = 0; q < n; ++q)
+        if (q != hole) part_qubits.push_back(q);
+      const Circuit small = testutil::random_circuit(n - 1, 120, n);
+      Circuit c(n);
+      std::vector<std::size_t> gates;
+      for (Gate g : small.gates()) {
+        for (Qubit& q : g.qubits) q = part_qubits[q];
+        gates.push_back(c.num_gates());
+        c.add(std::move(g));
+      }
+      ASSERT_FALSE(fans_out(n - 1, 2, 3));
+      ASSERT_FALSE(fans_out(n - 1, 2, 4));
+      const StateVector init = testutil::random_state(n, 5);
+      StateVector flat = init;
+      FlatSimulator().run(c, flat);
+
+      StateVector one = init, three = init, four = init;
+      parallel::set_num_threads(1);
+      run_part(c, gates, part_qubits, one);
+      parallel::set_num_threads(3);
+      run_part(c, gates, part_qubits, three);
+      parallel::set_num_threads(4);
+      run_part(c, gates, part_qubits, four);
+      parallel::set_num_threads(0);
+
+      expect_bit_identical(one, three);
+      expect_bit_identical(one, four);
+      EXPECT_LT(four.max_abs_diff(flat), 1e-10);
     }
-    ASSERT_FALSE(fans_out(n - 1, 2, 4));
-    const StateVector init = testutil::random_state(n, 5);
-    StateVector flat = init;
-    FlatSimulator().run(c, flat);
-
-    StateVector one = init, four = init;
-    parallel::set_num_threads(1);
-    run_part(c, gates, part_qubits, one);
-    parallel::set_num_threads(4);
-    run_part(c, gates, part_qubits, four);
-    parallel::set_num_threads(0);
-
-    expect_bit_identical(one, four);
-    EXPECT_LT(four.max_abs_diff(flat), 1e-10) << "n=" << n;
-  }
 }
 
 // The engine's gather/apply/scatter split is wall-clock: fanned-out

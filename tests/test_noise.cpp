@@ -345,9 +345,11 @@ TEST(NoiseTrajectories, QaoaDepolarizingAcceptance) {
   }
 }
 
-// The distributed trajectory path substitutes sampled operators per part
-// without touching the exchange schedule: same seeds, same statistics as
-// the single-node path, and identical comm accounting as the ideal run.
+// The sharded trajectory paths substitute sampled operators without
+// touching the schedule: same seeds, same statistics as the single-node
+// path. The distributed executor moves exactly what the ideal run moves;
+// the IQS baseline adds what its per-gate rule charges for the sampled
+// operators.
 TEST(NoiseTrajectories, DistributedMatchesSingleNodeStatistics) {
   const Circuit c = circuits::noise_calibration(8, 2);
   Options hier;
@@ -357,28 +359,55 @@ TEST(NoiseTrajectories, DistributedMatchesSingleNodeStatistics) {
   dist.target = Target::DistributedSerial;
   dist.process_qubits = 2;
   dist.limit = 0;
+  Options iqs = dist;
+  iqs.target = Target::IqsBaseline;
 
   TrajectoryOptions topt;
   topt.exec.observables.push_back(sv::PauliString::parse("Z0"));
   topt.exec.shots = 3;
   const NoisyResult a =
       Engine::compile(c, hier).execute_trajectories(30, topt);
-  const NoisyResult b =
-      Engine::compile(c, dist).execute_trajectories(30, topt);
-  EXPECT_EQ(a.seeds, b.seeds);
-  EXPECT_EQ(a.counts, b.counts);
-  for (std::size_t j = 0; j < a.observable_means.size(); ++j)
-    EXPECT_NEAR(a.observable_means[j], b.observable_means[j], 1e-12) << j;
+  for (const Options& sharded : {dist, iqs}) {
+    SCOPED_TRACE(target_name(sharded.target));
+    const NoisyResult b =
+        Engine::compile(c, sharded).execute_trajectories(30, topt);
+    EXPECT_EQ(a.seeds, b.seeds);
+    EXPECT_EQ(a.counts, b.counts);
+    for (std::size_t j = 0; j < a.observable_means.size(); ++j)
+      EXPECT_NEAR(a.observable_means[j], b.observable_means[j], 1e-12) << j;
 
-  // Exchange accounting of a noisy trajectory equals the ideal run's:
-  // sampled operators are slot-local, so no extra movement is scheduled.
-  const ExecutionPlan dplan = Engine::compile(c, dist);
-  const Result ideal = dplan.execute();
-  const Result noisy = dplan.execute_trajectory(a.seeds[0]);
-  EXPECT_EQ(ideal.metrics.at("exchange.bytes"),
-            noisy.metrics.at("exchange.bytes"));
-  EXPECT_EQ(ideal.metrics.at("exchange.count"),
-            noisy.metrics.at("exchange.count"));
+    // Sampled operators are slot-local on the distributed executor, so a
+    // noisy trajectory exchanges exactly what the ideal run does. The IQS
+    // baseline pays one more pairwise exchange per sampled X or Y on a
+    // process qubit, each moving the bytes of one of the circuit's own X
+    // gates there (its only exchanges).
+    const ExecutionPlan plan = Engine::compile(c, sharded);
+    const Result ideal = plan.execute();
+    const double count = ideal.metrics.at("exchange.count");
+    const double bytes = ideal.metrics.at("exchange.bytes");
+    ASSERT_GT(count, 0.0);
+    const noise::CompiledNoise cn = noise::instrument(c, sharded.noise).noise;
+    double all_extra = 0.0;
+    for (const std::uint64_t seed : a.seeds) {
+      double extra = 0.0;
+      if (sharded.target == Target::IqsBaseline) {
+        const std::vector<Gate> ops = noise::sample_ops(cn, seed);
+        for (std::size_t id = 0; id < ops.size(); ++id)
+          if (cn.slots[id].qubit >= c.num_qubits() - sharded.process_qubits &&
+              (ops[id].kind == GateKind::X || ops[id].kind == GateKind::Y))
+            extra += 1.0;
+      }
+      all_extra += extra;
+      const Result noisy = plan.execute_trajectory(seed);
+      EXPECT_EQ(noisy.metrics.at("exchange.count"), count + extra);
+      EXPECT_EQ(noisy.metrics.at("exchange.bytes"),
+                bytes / count * (count + extra));
+    }
+    // The seeds sample at least one exchanging operator on the baseline.
+    if (sharded.target == Target::IqsBaseline) {
+      EXPECT_GT(all_extra, 0.0);
+    }
+  }
 }
 
 // One shared plan, several threads each running whole trajectory sets —

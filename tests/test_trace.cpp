@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -198,11 +199,13 @@ TEST(Trace, ExportRoundTripThroughTraceSummary) {
   }
   trace::counter_sample("exchange.bytes", 4096.0);
   TraceSession::stop();
-  const std::string path = "trace_roundtrip.json";
+  const std::string path = ::testing::TempDir() + "trace_roundtrip.json";
   TraceSession::write(path);
   const std::string cmd = std::string("python3 \"") + HISIM_SOURCE_DIR +
-                          "/tools/trace_summary.py\" --validate " + path;
+                          "/tools/trace_summary.py\" --validate \"" + path +
+                          "\"";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::remove(path.c_str());
 }
 
 TEST(Trace, WriteToUnopenablePathThrows) {
@@ -308,6 +311,44 @@ TEST(Trace, OptionsTraceStartsASession) {
   (void)plan.execute();
   TraceSession::stop();
   EXPECT_GT(TraceSession::event_count(), 0u);
+}
+
+/// Counter ("C") events on the exchange tracks in a Chrome-trace export.
+std::size_t exchange_counter_events(const std::string& json) {
+  std::size_t count = 0;
+  for (const char* track : {"exchange.bytes", "exchange.messages"}) {
+    const std::string event =
+        std::string("{\"name\": \"") + track + "\", \"ph\": \"C\"";
+    for (std::size_t at = json.find(event); at != std::string::npos;
+         at = json.find(event, at + 1))
+      ++count;
+  }
+  return count;
+}
+
+// One rank never exchanges, so a single-node execute draws no exchange
+// counter track; a sharded one samples both after every step.
+TEST(Trace, ExchangeCountersOnlyWhenSharded) {
+  const Circuit c = circuits::make_by_name("qft", 8);
+  for (Target t :
+       {Target::Flat, Target::Hierarchical, Target::DistributedSerial}) {
+    SCOPED_TRACE(target_name(t));
+    Options o;
+    o.target = t;
+    o.limit = 4;
+    if (target_is_distributed(t)) o.process_qubits = 2;
+    const ExecutionPlan plan = Engine::compile(c, o);
+    SessionGuard guard;
+    TraceSession::start();
+    (void)plan.execute();
+    TraceSession::stop();
+    const std::size_t counters =
+        exchange_counter_events(TraceSession::chrome_json());
+    if (target_is_distributed(t))
+      EXPECT_EQ(counters, 2 * plan.num_parts());
+    else
+      EXPECT_EQ(counters, 0u);
+  }
 }
 
 TEST(Trace, TracingLeavesResultsBitIdentical) {
