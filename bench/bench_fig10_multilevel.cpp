@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
     const Circuit& c = e.circuit;
     const unsigned l = c.num_qubits() - p;
     const unsigned level2 = l > 4 ? l - 4 : l;  // cache-sized second level
+    // A level 2 as wide as the shard is off; 0 would mean the default one.
     const Result single =
-        bench::run_hisvsim(args, c, p, partition::Strategy::DagP);
+        bench::run_hisvsim(args, c, p, partition::Strategy::DagP, l);
     const Result multi =
         bench::run_hisvsim(args, c, p, partition::Strategy::DagP, level2);
     const double single_s = single.metrics.at("execute.wall_seconds");

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
       for (auto s : {partition::Strategy::Nat, partition::Strategy::Dfs,
                      partition::Strategy::DagP}) {
         const auto his = bench::run_hisvsim(args, e.circuit, p, s,
-                                            /*level2_limit=*/0, args.backend);
+                                            /*level2_limit=*/0,  // auto
+                                            args.backend);
         avg.push_back(his.metrics.at("exchange.modeled_avg_seconds"));
         if (s == partition::Strategy::DagP) {
           measured_comm =

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
                                           partition::Strategy::Dfs);
       const auto dagp =
           bench::run_hisvsim(args, e.circuit, p, partition::Strategy::DagP,
-                             /*level2_limit=*/0, args.backend);
+                             /*level2_limit=*/0,  // auto
+                             args.backend);
       nat_r.push_back(bench::comm_share(nat));
       dfs_r.push_back(bench::comm_share(dfs));
       dagp_r.push_back(bench::comm_share(dagp));

@@ -43,7 +43,10 @@ std::vector<SuiteEntry> scaled_suite(const Args& args);
 
 /// Compiles `c` for the distributed HiSVSIM target with `strategy` and
 /// executes the plan once (serial reference backend by default; pass
-/// Threaded for measured-overlap columns). Honors args.seed / args.json.
+/// Threaded for measured-overlap columns). `level2_limit` is
+/// Options::level2_limit: 0 = the default (cache-sized) second level,
+/// n - p or more = off; level 2 moves no exchange bytes either way.
+/// Honors args.seed / args.json.
 hisim::Result run_hisvsim(const Args& args, const Circuit& c, unsigned p,
                           partition::Strategy strategy,
                           unsigned level2_limit = 0,

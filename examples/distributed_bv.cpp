@@ -39,24 +39,28 @@ int main(int argc, char** argv) {
               his.state.max_abs_diff(check), iqs.state.max_abs_diff(check),
               his.state.max_abs_diff(again.state) == 0.0 ? "yes" : "NO");
 
-  std::printf("\n%-22s %12s %12s\n", "", "HiSVSIM", "IQS-style");
-  std::printf("%-22s %12zu %12s\n", "parts / exchanges", his.parts, "-");
+  std::printf("\n%-34s %12s %12s\n", "", "HiSVSIM", "IQS-style");
+  std::printf("%-34s %12zu %12s\n", "parts / exchanges", his.parts, "-");
   // Both targets account through the same metric keys.
-  std::printf("%-22s %12.0f %12.0f\n", "comm events",
+  std::printf("%-34s %12.0f %12.0f\n", "comm events",
               his.metrics.at("exchange.count"),
               iqs.metrics.at("exchange.count"));
-  std::printf("%-22s %12.2f %12.2f\n", "comm volume (MiB)",
+  std::printf("%-34s %12.2f %12.2f\n", "comm volume (MiB)",
               his.metrics.at("exchange.bytes") / (1 << 20),
               iqs.metrics.at("exchange.bytes") / (1 << 20));
-  std::printf("%-22s %12.3f %12.3f\n", "modeled comm (ms)",
-              his.metrics.at("exchange.modeled_seconds.sum") * 1e3,
-              iqs.metrics.at("exchange.modeled_seconds.sum") * 1e3);
-  std::printf("%-22s %12.3f %12.3f\n", "modeled total (ms)",
+  const double his_comm = his.metrics.at("exchange.modeled_seconds.sum");
+  const double iqs_comm = iqs.metrics.at("exchange.modeled_seconds.sum");
+  std::printf("%-34s %12.3f %12.3f\n", "modeled comm (ms)", his_comm * 1e3,
+              iqs_comm * 1e3);
+  // total_seconds() adds the measured apply time, which varies from run
+  // to run, to the modeled comm.
+  std::printf("%-34s %12.3f %12.3f\n", "measured apply + modeled comm (ms)",
               his.total_seconds() * 1e3, iqs.total_seconds() * 1e3);
-  std::printf("%-22s %12.3f %12s\n", "compile, once (ms)",
+  std::printf("%-34s %12.3f %12s\n", "compile, once (ms)",
               his.metrics.at("compile.total_seconds") * 1e3, "-");
-  if (his.total_seconds() > 0)
-    std::printf("\nimprovement factor over IQS: %.2fx\n",
-                iqs.total_seconds() / his.total_seconds());
+  // The factor compares the modeled comm alone, so it repeats exactly.
+  if (his_comm > 0)
+    std::printf("\nmodeled comm improvement factor over IQS: %.2fx\n",
+                iqs_comm / his_comm);
   return 0;
 }

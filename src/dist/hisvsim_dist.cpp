@@ -13,6 +13,24 @@
 #include "sv/kernels.hpp"
 
 namespace hisim::dist {
+namespace {
+
+/// `qubits` (strictly ascending) plus the lowest slots it lacks, until it
+/// holds `width` slots; strictly ascending.
+std::vector<Qubit> pad_slots(std::span<const Qubit> qubits, unsigned width) {
+  std::vector<Qubit> out(qubits.begin(), qubits.end());
+  for (Qubit s = 0; out.size() < width; ++s)
+    if (!std::binary_search(qubits.begin(), qubits.end(), s)) out.push_back(s);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+}  // namespace
+
+unsigned pad_width(const DistPlan& plan) {
+  return std::min({plan.level2_limit, plan.num_qubits - plan.process_qubits,
+                   sv::kCacheQubits});
+}
 
 DistPlan compile_plan(Circuit c, const DistOptions& opt) {
   const unsigned n = c.num_qubits();
@@ -93,6 +111,11 @@ DistPlan compile_plan(Circuit c, const DistOptions& opt) {
       po2.limit = std::min(opt.level2_limit, l);
       const dag::CircuitDag sdag(step.local);
       step.inner = partition::make_partition(sdag, po2);
+      // A narrow part pads to the cache limit: fewer cosets, longer runs
+      // per copy and fewer kernel calls per amplitude, with the same
+      // arithmetic on every amplitude.
+      for (const partition::Part& ip : step.inner.parts)
+        step.padded.push_back(pad_slots(ip.qubits, pad_width(plan)));
       plan.inner_parts += step.inner.num_parts();
       plan.partition_seconds += step.inner.partition_seconds;
     }
@@ -212,9 +235,10 @@ void execute_plan(const DistPlan& plan, DistState& state,
             } else {
               // With more than one rank, level-2 parts record nothing: the
               // step's apply window is the rank's measurement.
-              for (const partition::Part& ip : step.inner.parts)
-                sv::run_part(local, ip.gates, ip.qubits,
-                             state.local(rank), part_metrics, &kops);
+              for (std::size_t i = 0; i < step.inner.parts.size(); ++i)
+                sv::run_part(local, step.inner.parts[i].gates,
+                             step.padded[i], state.local(rank), part_metrics,
+                             &kops);
             }
             const double t1 = wall.seconds();
             MutexLock lk(comp_mu);

@@ -24,7 +24,9 @@ struct DistOptions {
   /// larger than n - p) is clamped to the local qubit count.
   partition::PartitionOptions part;
   /// Nonzero enables a second, cache-sized partitioning level inside
-  /// every part (paper Sec. IV multi-level).
+  /// every part (paper Sec. IV multi-level), at this limit capped at
+  /// n - p. 0 = off; the engine resolves its own 0 (auto) to
+  /// sv::kCacheQubits before it gets here.
   unsigned level2_limit = 0;
 };
 
@@ -55,6 +57,12 @@ struct DistPlan {
     /// Gate indices stay valid across binding: materialization preserves
     /// gate count and order.
     partition::Partitioning inner;
+    /// Per inner part, the local slots sv::run_part gathers: the part's
+    /// working set plus the lowest free slots, up to pad_width(plan) slots
+    /// (a wider part keeps its working set). Kept beside `inner`, whose
+    /// Part::qubits stay exactly the working set partition::validate
+    /// checks.
+    std::vector<std::vector<Qubit>> padded;
     /// Precomputed: any gate of `local` carries a symbolic parameter, so
     /// executing this step requires per-binding materialization.
     bool parametric = false;
@@ -69,6 +77,11 @@ struct DistPlan {
   std::size_t num_parts() const { return steps.size(); }
 };
 
+/// The width compile_plan pads every narrower level-2 part of `plan` to:
+/// min(level2_limit, n - p, sv::kCacheQubits). Padding past the cache
+/// limit would only make inner vectors outgrow the L2 they are sized for.
+unsigned pad_width(const DistPlan& plan);
+
 /// Deep validator (see common/check.hpp): aborts unless `plan` upholds the
 /// full exchange-schedule contract — every layout a consistent n/p-shaped
 /// permutation whose slot_of/qubit_at maps invert each other, every
@@ -77,9 +90,12 @@ struct DistPlan {
 /// duplicated), every step gate acting only on local slots, the steps'
 /// slot-remapped gates unmapping (via each step's layout) to exactly the
 /// plan circuit's gate multiset, reserved noise slots consistent between
-/// circuit and steps, and inner partitionings valid for their step
-/// sub-circuits. Checked builds run this from ExecutionPlan::validate();
-/// tests corrupt a copied plan's schedule and assert the abort.
+/// circuit and steps, inner partitionings valid for their step
+/// sub-circuits, and one padded slot list per inner part: strictly
+/// ascending local slots holding the part's working set, pad_width(plan)
+/// wide unless the working set is wider. Checked builds run this from
+/// ExecutionPlan::validate(); tests corrupt a copied plan's schedule and
+/// assert the abort.
 void validate_plan(const DistPlan& plan);
 
 /// Compiles the paper's hierarchical simulator (Secs. IV and V) for `c`

@@ -143,6 +143,37 @@ void check_step_noise_slots(const DistPlan::Step& s, std::size_t si) {
                           << " table entries");
 }
 
+/// One padded slot list per inner part: strictly ascending local slots
+/// that hold the part's working set, `pad` wide unless the working set is
+/// wider.
+void check_padded_slots(const DistPlan::Step& s, std::size_t si, unsigned l,
+                        unsigned pad) {
+  HISIM_INVARIANT(s.padded.size() == s.inner.parts.size(),
+                  "step " << si << " has " << s.padded.size()
+                          << " padded slot lists for " << s.inner.parts.size()
+                          << " inner parts");
+  for (std::size_t i = 0; i < s.padded.size(); ++i) {
+    const std::vector<Qubit>& slots = s.padded[i];
+    const std::vector<Qubit>& ws = s.inner.parts[i].qubits;
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      HISIM_INVARIANT(j == 0 || slots[j - 1] < slots[j],
+                      "step " << si << " inner part " << i
+                              << " padded slots are not strictly ascending");
+      HISIM_INVARIANT(slots[j] < l, "step " << si << " inner part " << i
+                                            << " pads with non-local slot "
+                                            << slots[j]);
+    }
+    HISIM_INVARIANT(std::includes(slots.begin(), slots.end(), ws.begin(),
+                                  ws.end()),
+                    "step " << si << " inner part " << i
+                            << " padded slots miss part of its working set");
+    const std::size_t width = std::max<std::size_t>(ws.size(), pad);
+    HISIM_INVARIANT(slots.size() == width,
+                    "step " << si << " inner part " << i << " is padded to "
+                            << slots.size() << " slots, expected " << width);
+  }
+}
+
 }  // namespace
 
 void validate_plan(const DistPlan& plan) {
@@ -184,6 +215,7 @@ void validate_plan(const DistPlan& plan) {
                                        << e.what());
       }
     }
+    check_padded_slots(s, si, l, pad_width(plan));
   }
 
   check_gate_cover(plan);

@@ -62,21 +62,24 @@ bool exchanges_per_part(Target t) {
 /// The (p, level-1 limit, level-2 limit) a target compiles with. Flat and
 /// iqs-baseline compile the one-part plan (0, n, off): flat runs it on one
 /// rank, iqs-baseline applies its gates one by one on 2^p shards.
-/// Hierarchical adds Alg. 1's level 2 at the explicit limit capped at the
-/// circuit width, else at the inner-vector budget (2^21 amplitudes =
-/// 32 MiB).
+/// Hierarchical adds Alg. 1's level 2 at its limit capped at the circuit
+/// width. The distributed targets run level 2 at level2_limit; one as wide
+/// as a shard (>= n - p) is off. Both second levels default (0) to the
+/// cache limit sv::kCacheQubits.
 dist::DistOptions dist_options(const Options& opt, unsigned num_qubits) {
   dist::DistOptions d;
   d.part.strategy = opt.strategy;
   d.part.seed = opt.seed;
   d.part.limit = 0;  // all local qubits
   if (opt.target == Target::Hierarchical) {
-    d.level2_limit = std::min(
-        opt.limit != 0 ? opt.limit : sv::kInnerBudgetQubits, num_qubits);
+    d.level2_limit =
+        std::min(opt.limit != 0 ? opt.limit : sv::kCacheQubits, num_qubits);
   } else if (exchanges_per_part(opt.target)) {
     d.process_qubits = opt.process_qubits;
     d.part.limit = opt.limit;
-    d.level2_limit = opt.level2_limit;
+    const unsigned level2 =
+        opt.level2_limit != 0 ? opt.level2_limit : sv::kCacheQubits;
+    d.level2_limit = level2 < num_qubits - opt.process_qubits ? level2 : 0;
   }
   return d;
 }

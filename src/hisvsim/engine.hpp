@@ -79,16 +79,19 @@ Target target_for_backend(dist::BackendKind kind);
 struct Options {
   Target target = Target::Hierarchical;
   partition::Strategy strategy = partition::Strategy::DagP;
-  /// Working-set limit Lm. 0 = auto: local qubit count when distributed,
-  /// otherwise sv::kInnerBudgetQubits (21 qubits ~ 32 MiB) capped at the
-  /// circuit width. Flat and iqs-baseline ignore it; on hierarchical it is
-  /// the level-2 limit of the one-rank plan, whose level 1 holds the whole
-  /// circuit.
+  /// Working-set limit Lm. 0 = auto: the local qubit count (n - p) when
+  /// distributed, otherwise the cache limit sv::kCacheQubits (16 qubits,
+  /// a 1 MiB inner vector). Capped at the circuit width. Flat and
+  /// iqs-baseline ignore it; on hierarchical it is the level-2 limit of
+  /// the one-rank plan, whose level 1 holds the whole circuit, and parts
+  /// narrower than min(limit, sv::kCacheQubits) are padded up to it.
   unsigned limit = 0;
   /// Second-level (cache) limit of the distributed-serial/-threaded
   /// targets: each part is re-partitioned at this limit and runs its
-  /// inner parts shard-locally (paper Sec. IV). 0 = off. Nonzero on any
-  /// other target throws at compile.
+  /// inner parts shard-locally (paper Sec. IV), padded like hierarchical
+  /// parts. 0 = auto: sv::kCacheQubits. A value >= n - p (a level as
+  /// wide as a shard) turns level 2 off. Nonzero on any other target
+  /// throws at compile.
   unsigned level2_limit = 0;
   /// Number of process ("rank") qubits; 2^p simulated ranks. Required
   /// (> 0) for the distributed targets, ignored otherwise.

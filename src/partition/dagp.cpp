@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/trace.hpp"
@@ -19,12 +22,55 @@ namespace {
 
 using WorkGraph = ContractedGraph;
 
-/// Working set (distinct qubit count) of a node subset.
-unsigned working_set(const WorkGraph& g, const std::vector<int>& nodes) {
-  std::set<Qubit> qs;
-  for (int v : nodes)
-    qs.insert(g.qubits[v].begin(), g.qubits[v].end());
-  return static_cast<unsigned>(qs.size());
+/// A qubit set as a bitset of ceil(n/64) words.
+using Mask = std::vector<std::uint64_t>;
+
+/// Every coarse node's qubits as a bitset row, built once per partition
+/// call, so a working set is the popcount of an OR of rows: no query
+/// allocates a tree set, and circuits wider than 64 qubits just use more
+/// words.
+class QubitMasks {
+ public:
+  QubitMasks(const WorkGraph& g, unsigned num_qubits)
+      : words_((num_qubits + 63) / 64), rows_(g.size() * words_, 0) {
+    for (std::size_t v = 0; v < g.size(); ++v)
+      for (Qubit q : g.qubits[v])
+        rows_[v * words_ + q / 64] |= std::uint64_t{1} << (q % 64);
+  }
+
+  Mask none() const { return Mask(words_, 0); }
+  std::span<const std::uint64_t> row(int v) const {
+    return {rows_.data() + static_cast<std::size_t>(v) * words_, words_};
+  }
+  /// The union of the nodes' qubits.
+  Mask of(const std::vector<int>& nodes) const {
+    Mask m = none();
+    for (int v : nodes) add(m, v);
+    return m;
+  }
+  void add(Mask& m, int v) const {
+    const std::span<const std::uint64_t> r = row(v);
+    for (std::size_t i = 0; i < words_; ++i) m[i] |= r[i];
+  }
+
+ private:
+  std::size_t words_;
+  Mask rows_;
+};
+
+unsigned count(std::span<const std::uint64_t> m) {
+  unsigned c = 0;
+  for (std::uint64_t w : m) c += static_cast<unsigned>(std::popcount(w));
+  return c;
+}
+
+/// |a ∪ b| without materializing the union.
+unsigned count_union(std::span<const std::uint64_t> a,
+                     std::span<const std::uint64_t> b) {
+  unsigned c = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    c += static_cast<unsigned>(std::popcount(a[i] | b[i]));
+  return c;
 }
 
 std::size_t gate_weight(const WorkGraph& g, const std::vector<int>& nodes) {
@@ -318,18 +364,19 @@ Bisection bisect(const WorkGraph& g, const std::vector<int>& nodes,
   return out;
 }
 
-void recurse(const WorkGraph& g, std::vector<int> nodes, unsigned num_qubits,
+void recurse(const WorkGraph& g, const QubitMasks& masks,
+             std::vector<int> nodes, unsigned num_qubits,
              const PartitionOptions& opt, Rng& rng,
              std::vector<std::vector<int>>& parts_out) {
-  if (working_set(g, nodes) <= opt.limit) {
+  if (count(masks.of(nodes)) <= opt.limit) {
     parts_out.push_back(std::move(nodes));
     return;
   }
   HISIM_CHECK_MSG(nodes.size() >= 2,
                   "single node exceeds working-set limit");
   Bisection b = bisect(g, nodes, num_qubits, opt, rng);
-  recurse(g, std::move(b.left), num_qubits, opt, rng, parts_out);
-  recurse(g, std::move(b.right), num_qubits, opt, rng, parts_out);
+  recurse(g, masks, std::move(b.left), num_qubits, opt, rng, parts_out);
+  recurse(g, masks, std::move(b.right), num_qubits, opt, rng, parts_out);
 }
 
 
@@ -339,23 +386,20 @@ void recurse(const WorkGraph& g, std::vector<int> nodes, unsigned num_qubits,
 /// working sets approach the limit, order-based segmentation can beat a
 /// balanced bisection tree, and multilevel partitioners keep the best of
 /// their construction heuristics.
-std::vector<std::vector<int>> segment_nodes(const WorkGraph& g,
+std::vector<std::vector<int>> segment_nodes(const QubitMasks& masks,
                                             const std::vector<int>& order,
                                             unsigned limit) {
   std::vector<std::vector<int>> parts;
   std::vector<int> cur;
-  std::set<Qubit> cur_q;
+  Mask cur_q = masks.none();
   for (int v : order) {
-    std::set<Qubit> merged = cur_q;
-    merged.insert(g.qubits[v].begin(), g.qubits[v].end());
-    if (merged.size() > limit && !cur.empty()) {
+    if (count_union(cur_q, masks.row(v)) > limit && !cur.empty()) {
       parts.push_back(std::move(cur));
       cur.clear();
-      merged.clear();
-      merged.insert(g.qubits[v].begin(), g.qubits[v].end());
+      cur_q = masks.none();
     }
-    HISIM_CHECK(merged.size() <= limit);
-    cur_q = std::move(merged);
+    masks.add(cur_q, v);
+    HISIM_CHECK(count(cur_q) <= limit);
     cur.push_back(v);
   }
   if (!cur.empty()) parts.push_back(std::move(cur));
@@ -366,17 +410,8 @@ std::vector<std::vector<int>> segment_nodes(const WorkGraph& g,
 /// pairs whose union fits the limit and whose contraction keeps the part
 /// graph acyclic — i.e. the two parts are either incomparable or connected
 /// only by direct edges (no 2+ step path between them).
-struct MergeParts {
-  std::vector<std::vector<int>> nodes;  // workgraph node ids per part
-};
-
-void merge_phase(const WorkGraph& g, unsigned limit,
+void merge_phase(const WorkGraph& g, const QubitMasks& masks, unsigned limit,
                  std::vector<std::vector<int>>& parts) {
-  auto part_qubits = [&](const std::vector<int>& ns) {
-    std::set<Qubit> qs;
-    for (int v : ns) qs.insert(g.qubits[v].begin(), g.qubits[v].end());
-    return qs;
-  };
   bool merged = true;
   while (merged && parts.size() > 1) {
     merged = false;
@@ -406,13 +441,12 @@ void merge_phase(const WorkGraph& g, unsigned limit,
     // Candidate pairs: smallest merged working set first.
     int best_a = -1, best_b = -1;
     std::size_t best_ws = limit + 1;
-    std::vector<std::set<Qubit>> pq(k);
-    for (int p = 0; p < k; ++p) pq[p] = part_qubits(parts[p]);
+    std::vector<Mask> pq(k);
+    for (int p = 0; p < k; ++p) pq[p] = masks.of(parts[p]);
     for (int a = 0; a < k; ++a) {
       for (int b = a + 1; b < k; ++b) {
-        std::set<Qubit> u = pq[a];
-        u.insert(pq[b].begin(), pq[b].end());
-        if (u.size() > limit) continue;
+        const unsigned u = count_union(pq[a], pq[b]);
+        if (u > limit) continue;
         // Contraction is acyclic iff there is no path a~>b (or b~>a) through
         // an intermediate part.
         bool bad = false;
@@ -422,8 +456,8 @@ void merge_phase(const WorkGraph& g, unsigned limit,
             bad = true;
         }
         if (bad) continue;
-        if (u.size() < best_ws) {
-          best_ws = u.size();
+        if (u < best_ws) {
+          best_ws = u;
           best_a = a;
           best_b = b;
         }
@@ -475,6 +509,13 @@ void eliminate_parts(const WorkGraph& g, unsigned limit, unsigned num_qubits,
     parts = std::move(sorted);
   };
   renumber();
+  // Nodes in intra-part topological order (ascending first gate), kept
+  // sorted as nodes move so no pass re-sorts a victim.
+  const auto by_first_gate = [&](int a, int b) {
+    return g.members[a][0] < g.members[b][0];
+  };
+  for (std::vector<int>& ns : parts)
+    std::sort(ns.begin(), ns.end(), by_first_gate);
 
   const int k0 = static_cast<int>(parts.size());
   std::vector<int> part_of(g.size(), -1);
@@ -517,14 +558,9 @@ void eliminate_parts(const WorkGraph& g, unsigned limit, unsigned num_qubits,
       return parts[a].size() < parts[b].size();
     });
     for (int victim : by_size) {
-      // Nodes in intra-part topological order (ascending first gate).
-      std::vector<int> nodes = parts[victim];
-      std::sort(nodes.begin(), nodes.end(), [&](int a, int b) {
-        return g.members[a][0] < g.members[b][0];
-      });
       std::vector<std::pair<int, int>> moves;  // (node, target)
       bool ok = true;
-      for (int v : nodes) {
+      for (int v : parts[victim]) {
         int lo = 0, hi = k0 - 1;
         for (int u : g.preds[v]) lo = std::max(lo, part_of[u]);
         for (int w : g.succs[v]) hi = std::min(hi, part_of[w]);
@@ -547,7 +583,11 @@ void eliminate_parts(const WorkGraph& g, unsigned limit, unsigned num_qubits,
         moves.emplace_back(v, best);
       }
       if (ok) {
-        for (const auto& [v, tgt] : moves) parts[tgt].push_back(v);
+        for (const auto& [v, tgt] : moves) {
+          std::vector<int>& dst = parts[tgt];
+          dst.insert(std::upper_bound(dst.begin(), dst.end(), v, by_first_gate),
+                     v);
+        }
         parts[victim].clear();
         changed = true;
       } else {
@@ -571,14 +611,15 @@ Partitioning partition_dagp(const dag::CircuitDag& dag,
   if (dag.num_gates() == 0) return out;
 
   const WorkGraph g = build_contracted(dag, opt.coarsen);
+  const QubitMasks masks(g, dag.num_qubits());
 
   std::vector<int> all(g.size());
   std::iota(all.begin(), all.end(), 0);
   Rng rng(opt.seed);
   std::vector<std::vector<int>> node_parts;
-  recurse(g, all, dag.num_qubits(), opt, rng, node_parts);
+  recurse(g, masks, all, dag.num_qubits(), opt, rng, node_parts);
   if (opt.merge) {
-    merge_phase(g, opt.limit, node_parts);
+    merge_phase(g, masks, opt.limit, node_parts);
     eliminate_parts(g, opt.limit, dag.num_qubits(), node_parts);
   }
 
@@ -604,9 +645,9 @@ Partitioning partition_dagp(const dag::CircuitDag& dag,
           return static_cast<std::size_t>(rng.below(ready.size()));
         });
       }
-      auto seg = segment_nodes(g, order, opt.limit);
+      auto seg = segment_nodes(masks, order, opt.limit);
       if (opt.merge) {
-        merge_phase(g, opt.limit, seg);
+        merge_phase(g, masks, opt.limit, seg);
         eliminate_parts(g, opt.limit, dag.num_qubits(), seg);
       }
       if (seg.size() < node_parts.size()) node_parts = std::move(seg);
@@ -640,14 +681,15 @@ Partitioning partition_dagp(const dag::CircuitDag& dag,
 
   for (const auto& ns : node_parts) {
     Part part;
-    std::set<Qubit> qs;
-    for (int v : ns) {
+    for (int v : ns)
       part.gates.insert(part.gates.end(), g.members[v].begin(),
                         g.members[v].end());
-      qs.insert(g.qubits[v].begin(), g.qubits[v].end());
-    }
     std::sort(part.gates.begin(), part.gates.end());
-    part.qubits.assign(qs.begin(), qs.end());
+    const Mask qs = masks.of(ns);
+    for (std::size_t i = 0; i < qs.size(); ++i)
+      for (std::uint64_t w = qs[i]; w != 0; w &= w - 1)
+        part.qubits.push_back(static_cast<Qubit>(
+            64 * i + static_cast<unsigned>(std::countr_zero(w))));
     out.parts.push_back(std::move(part));
   }
   for (std::size_t p = 0; p < out.parts.size(); ++p)

@@ -1,6 +1,7 @@
 #include "sv/hierarchical.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -11,6 +12,11 @@
 
 namespace hisim::sv {
 namespace {
+
+/// Memory budget of one fan-out: the inner vectors of all threads
+/// together hold at most 2^21 amplitudes (32 MiB, about a third of the
+/// reference host's L3).
+constexpr unsigned kFanOutBudgetQubits = 21;
 
 /// Gate list with qubits remapped onto inner slots, built once per part.
 std::vector<Gate> remap_gates(const Circuit& c,
@@ -93,7 +99,7 @@ struct PhaseSeconds {
 
 bool fans_out(unsigned part_width, Index cosets, unsigned threads) {
   return cosets >= threads &&
-         (Index{threads} << part_width) <= (Index{1} << kInnerBudgetQubits);
+         (Index{threads} << part_width) <= (Index{1} << kFanOutBudgetQubits);
 }
 
 void run_part(const Circuit& c, std::span<const std::size_t> gates,
@@ -107,7 +113,9 @@ void run_part(const Circuit& c, std::span<const std::size_t> gates,
   const unsigned n = outer.num_qubits();
   const unsigned w = static_cast<unsigned>(part_qubits.size());
   HISIM_CHECK(w <= n);
-  HISIM_CHECK(std::is_sorted(part_qubits.begin(), part_qubits.end()));
+  HISIM_CHECK(std::adjacent_find(part_qubits.begin(), part_qubits.end(),
+                                 std::greater_equal<Qubit>()) ==
+              part_qubits.end());
 
   // Slot map: part qubit j lives at inner bit j.
   std::vector<Qubit> slot_of(n, 0);

@@ -13,7 +13,8 @@ namespace hisim::sv {
 /// run_part's choice of path for a part of `part_width` qubits with
 /// `cosets` = 2^(n − part_width) cosets on `threads` threads (1 inside a
 /// pool region). True (fan out): there are at least `threads` cosets and
-/// `threads` inner vectors of 2^part_width amplitudes fit the budget, so
+/// `threads` inner vectors of 2^part_width amplitudes fit a memory budget
+/// of 2^21 amplitudes (32 MiB; a cap on memory, not a part limit), so
 /// each thread gathers, applies and scatters its own contiguous block of
 /// cosets. False (split copy): one inner vector, with each gather and
 /// scatter split over the pool. Either way the inner vectors take at most
@@ -27,10 +28,13 @@ bool fans_out(unsigned part_width, Index cosets, unsigned threads);
 /// the part's cosets on the path fans_out() picks. Bit-identical on every
 /// path and thread count: each amplitude sees the same gate sequence and
 /// the copies are exact. `gates` are indices into `c`; `part_qubits` must
-/// be the sorted working set of those gates. dist::execute_plan runs every
-/// level-2 part through it: on the hierarchical target's one rank, and on
-/// each shard of the distributed targets. Called from inside a pool
-/// region, it runs inline with one inner vector.
+/// be strictly ascending and hold the working set of those gates; extra
+/// qubits widen the inner vector (a padded part), so there are fewer
+/// cosets and longer contiguous runs. dist::execute_plan runs every
+/// level-2 part through it with the plan's padded slot list: on the
+/// hierarchical target's one rank, and on each shard of the distributed
+/// targets. Called from inside a pool region, it runs inline with one
+/// inner vector.
 ///
 /// Adds the part's accounting to `metrics` (nullptr records nothing), so
 /// keys sum over a run's parts: gather.seconds, apply.seconds and

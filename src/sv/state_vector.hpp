@@ -51,10 +51,20 @@ class StateVector {
   std::vector<cplx> amps_;
 };
 
-/// Inner-vector budget in qubits: 2^21 amplitudes (32 MiB), an LLC-sized
-/// working set. The engine's auto limit is this width, and run_part
-/// (sv/hierarchical.hpp) keeps its per-thread inner vectors within it.
-inline constexpr unsigned kInnerBudgetQubits = 21;
+/// Cache limit in qubits: the default width of a second-level part, on
+/// the hierarchical target (its auto limit) and inside every shard of the
+/// distributed targets (their auto level-2 limit); compile_plan also pads
+/// narrower level-2 parts up to it. 2^16 amplitudes of 16 B are 1 MiB,
+/// half of one core's 2 MiB L2 on the reference host (4 cores, 2 MiB L2
+/// each, 105 MiB shared L3), so an inner vector stays in its core's L2
+/// while the part's gates run. It is a per-core size on purpose: each
+/// thread that runs parts on its own state (a distributed rank, a sweep
+/// point, a fan-out block) owns its own inner vector. In probes at
+/// n = 22-24 on 4 threads, limits of 15-17 ran the distributed and sweep
+/// cases fastest, and 21 (one LLC-sized vector) ran them up to 1.8x
+/// slower. A constant rather than a run-time cache probe, so a plan is a
+/// function of (circuit, Options) alone on every host.
+inline constexpr unsigned kCacheQubits = 16;
 
 /// Fixed, machine-independent block grid for deterministic parallel
 /// reductions over a state's amplitudes (norm, expectations, marginals,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -143,6 +144,80 @@ TEST(CheckedDeath, CorruptNoiseSlotTableAborts) {
   // Point the table at gate 0, which is a real gate, not a NoiseSlot.
   plan.steps[0].noise_slots.emplace_back(0, 0);
   EXPECT_DEATH(dist::validate_plan(plan), "does not match the gate");
+}
+
+// ---- padded level-2 slot lists --------------------------------------------
+
+/// A plan whose steps carry level-2 parts padded to 3 of 4 local slots,
+/// and the first (step, inner part) whose padded list leaves a local slot
+/// free.
+struct PaddedPlan {
+  dist::DistPlan plan;
+  std::size_t step = 0, part = 0;
+  Qubit free_slot = 0;
+
+  std::vector<Qubit>& slots() { return plan.steps[step].padded[part]; }
+};
+
+PaddedPlan padded_plan() {
+  dist::DistOptions opt;
+  opt.process_qubits = 2;
+  opt.level2_limit = 3;
+  PaddedPlan out{dist::compile_plan(circuits::qft(6), opt)};
+  const dist::DistPlan& plan = out.plan;
+  EXPECT_EQ(dist::pad_width(plan), 3u);
+  for (std::size_t si = 0; si < plan.steps.size(); ++si)
+    for (std::size_t i = 0; i < plan.steps[si].padded.size(); ++i) {
+      const std::vector<Qubit>& slots = plan.steps[si].padded[i];
+      for (Qubit q = 0; q < 4; ++q)
+        if (!std::binary_search(slots.begin(), slots.end(), q)) {
+          out.step = si;
+          out.part = i;
+          out.free_slot = q;
+          return out;
+        }
+    }
+  ADD_FAILURE() << "no padded list leaves a slot free";
+  return out;
+}
+
+TEST(Checked, PaddedPlanValidates) {
+  PaddedPlan pp = padded_plan();
+  EXPECT_EQ(pp.slots().size(), 3u);
+  dist::validate_plan(pp.plan);
+}
+
+TEST(CheckedDeath, PaddedSlotsMissingWorkingSetAbort) {
+  PaddedPlan pp = padded_plan();
+  std::vector<Qubit>& slots = pp.slots();
+  // Trade a working-set slot for the free one: still sorted, local and
+  // three wide, but the part's gates now touch a slot run_part never
+  // gathers.
+  const Qubit used = pp.plan.steps[pp.step].inner.parts[pp.part].qubits[0];
+  std::erase(slots, used);
+  slots.insert(std::upper_bound(slots.begin(), slots.end(), pp.free_slot),
+               pp.free_slot);
+  EXPECT_DEATH(dist::validate_plan(pp.plan), "miss part of its working set");
+}
+
+TEST(CheckedDeath, UnsortedPaddedSlotsAbort) {
+  PaddedPlan pp = padded_plan();
+  std::reverse(pp.slots().begin(), pp.slots().end());
+  EXPECT_DEATH(dist::validate_plan(pp.plan), "not strictly ascending");
+}
+
+TEST(CheckedDeath, PaddedSlotsWiderThanPadWidthAbort) {
+  PaddedPlan pp = padded_plan();
+  std::vector<Qubit>& slots = pp.slots();
+  slots.insert(std::upper_bound(slots.begin(), slots.end(), pp.free_slot),
+               pp.free_slot);
+  EXPECT_DEATH(dist::validate_plan(pp.plan), "is padded to 4 slots");
+}
+
+TEST(CheckedDeath, PaddedListCountMismatchAborts) {
+  PaddedPlan pp = padded_plan();
+  pp.plan.steps[pp.step].padded.pop_back();
+  EXPECT_DEATH(dist::validate_plan(pp.plan), "padded slot lists for");
 }
 
 // ---- ExecutionPlan::validate ----------------------------------------------

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_state.hpp"
+#include "hisvsim/engine.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim::dist {
@@ -56,6 +57,9 @@ struct DistCase {
   unsigned p;
   partition::Strategy strategy;
   unsigned level2;
+  /// Compile through the engine, whose level2 0 is auto (the cache limit)
+  /// and whose level2 >= n - p is off; compile_plan's 0 is off.
+  bool engine = false;
 };
 
 class DistributedMatchesFlat : public ::testing::TestWithParam<DistCase> {};
@@ -63,6 +67,20 @@ class DistributedMatchesFlat : public ::testing::TestWithParam<DistCase> {};
 TEST_P(DistributedMatchesFlat, SameAmplitudes) {
   const DistCase& tc = GetParam();
   const Circuit c = circuits::make_by_name(tc.name, tc.qubits);
+  if (tc.engine) {
+    Options o;
+    o.target = Target::DistributedThreaded;
+    o.process_qubits = tc.p;
+    o.strategy = tc.strategy;
+    o.level2_limit = tc.level2;
+    const Result r = Engine::compile(c, o).execute();
+    EXPECT_LT(r.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
+    if (tc.level2 == 0)
+      EXPECT_GT(r.inner_parts, 0u) << "auto level 2 is on";
+    else
+      EXPECT_EQ(r.inner_parts, 0u) << "level 2 as wide as a shard is off";
+    return;
+  }
   DistOptions opt;
   opt.process_qubits = tc.p;
   opt.part.strategy = tc.strategy;
@@ -100,11 +118,16 @@ INSTANTIATE_TEST_SUITE_P(
         DistCase{"qft", 8, 0, partition::Strategy::DagP, 0},
         DistCase{"qft", 8, 0, partition::Strategy::DagP, 4},
         DistCase{"qaoa", 8, 0, partition::Strategy::Nat, 3},
-        DistCase{"grover", 7, 0, partition::Strategy::Nat, 7}),
+        DistCase{"grover", 7, 0, partition::Strategy::Nat, 7},
+        // Through the engine at n - p = 17 > sv::kCacheQubits: level 2 is
+        // on by default and off at the shard width.
+        DistCase{"qft", 19, 2, partition::Strategy::DagP, 0, true},
+        DistCase{"qft", 19, 2, partition::Strategy::DagP, 17, true}),
     [](const auto& ti) {
       return ti.param.name + "_p" + std::to_string(ti.param.p) + "_" +
              partition::strategy_name(ti.param.strategy) + "_l2" +
-             std::to_string(ti.param.level2);
+             std::to_string(ti.param.level2) +
+             (ti.param.engine ? "_engine" : "");
     });
 
 TEST(Distributed, AtMostOneRedistributionPerPart) {

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "common/parallel.hpp"
 #include "dag/circuit_dag.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
@@ -72,7 +74,8 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     expect_bit_identical(Engine::compile(c, o).execute().state,
                          sv::FlatSimulator().simulate(c), "flat");
   }
-  {  // Hierarchical vs make_partition + run_part over every part.
+  {  // Hierarchical (parts padded to the limit) vs make_partition +
+     // run_part over every part's unpadded working set.
     Options o;
     o.target = Target::Hierarchical;
     o.limit = 5;
@@ -80,11 +83,21 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     partition::PartitionOptions po;
     po.limit = 5;
     const auto parts = partition::make_partition(dag, po);
-    sv::StateVector legacy(n);
-    for (const partition::Part& p : parts.parts)
-      sv::run_part(c, p.gates, p.qubits, legacy);
-    expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
-                         "hierarchical");
+    // Padding must not change a bit even where it moves every qubit of a
+    // part to a different inner slot: a narrow part without qubit 0.
+    EXPECT_TRUE(std::any_of(parts.parts.begin(), parts.parts.end(),
+                            [](const partition::Part& p) {
+                              return p.qubits.size() < 5 && p.qubits[0] != 0;
+                            }));
+    for (unsigned threads : {1u, 4u}) {
+      parallel::set_num_threads(threads);
+      sv::StateVector legacy(n);
+      for (const partition::Part& p : parts.parts)
+        sv::run_part(c, p.gates, p.qubits, legacy);
+      expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
+                           "hierarchical, threads " + std::to_string(threads));
+    }
+    parallel::set_num_threads(0);
   }
   for (Target t : {Target::DistributedSerial, Target::DistributedThreaded})
     for (unsigned level2 : {0u, 3u}) {

@@ -26,7 +26,8 @@ bool bit_identical(const sv::StateVector& a, const sv::StateVector& b) {
 }
 
 /// One draw of the compile configuration a target chooses: p process
-/// qubits, the level-1 limit, the level-2 limit (0 = off) and the strategy.
+/// qubits, the level-1 limit, the level-2 limit (0 = auto; n - p or more
+/// = off on the distributed targets) and the strategy.
 struct Draw {
   unsigned p = 0, limit = 0, level2 = 0;
   partition::Strategy strategy = partition::Strategy::DagP;
@@ -41,8 +42,8 @@ struct Draw {
 
 /// p in [0, n-2]; the level-1 limit in [lo, n-p], where one node starts at
 /// the widest gate and shards start at 2 (narrower shards lower the wide
-/// gates to the limit); the level-2 limit 0 or in [widest gate left,
-/// limit].
+/// gates to the limit); the level-2 limit 0, an explicit off in
+/// [n-p, n-p+2], or in [widest gate left, limit].
 Draw draw_config(Rng& rng, unsigned n, unsigned widest) {
   Draw d;
   d.p = static_cast<unsigned>(rng.below(n - 1));
@@ -50,8 +51,13 @@ Draw draw_config(Rng& rng, unsigned n, unsigned widest) {
   const unsigned lo = d.p == 0 ? widest : 2;
   d.limit = lo + static_cast<unsigned>(rng.below(l - lo + 1));
   const unsigned w = std::min(widest, d.limit);
-  const unsigned pick = static_cast<unsigned>(rng.below(d.limit - w + 2));
-  d.level2 = pick == 0 ? 0 : w + pick - 1;
+  const unsigned pick = static_cast<unsigned>(rng.below(d.limit - w + 3));
+  if (pick == 0)
+    d.level2 = 0;
+  else if (pick == 1)
+    d.level2 = l + static_cast<unsigned>(rng.below(3));
+  else
+    d.level2 = w + pick - 2;
   constexpr partition::Strategy kStrategies[] = {
       partition::Strategy::Nat, partition::Strategy::Dfs,
       partition::Strategy::DagP};

@@ -23,7 +23,10 @@
 // --target is one of flat, hierarchical, distributed-serial,
 // distributed-threaded, iqs-baseline; when omitted it is derived from
 // --ranks / --backend. --level2 (a second, cache-sized partitioning level
-// inside every part) needs a distributed target.
+// inside every part) needs a distributed target; it is on by default at
+// 16 qubits (a 1 MiB inner vector per rank), and --level2=L with L >= the
+// local qubit count (qubits minus log2 of --ranks) turns it off. --limit
+// on the hierarchical target defaults to the same 16.
 // --kernel selects the apply-kernel tier: auto (default — SIMD when the
 // build and CPU support it, also via HISIM_KERNEL=scalar|simd|auto),
 // scalar, or simd (errors at compile when unavailable); the report's
