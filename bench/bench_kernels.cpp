@@ -1,7 +1,10 @@
 // Kernel-tier microbench: per-gate-shape apply throughput for every
 // available kernel tier (scalar always; simd when the build and CPU
 // support it), single-threaded on a cache-resident state so the numbers
-// measure the kernels, not the memory system or the thread pool.
+// measure the kernels, not the memory system or the thread pool. Each
+// tier's time per case is the median of kWindows timing windows, taken
+// with the tiers alternating window by window so that host drift lands
+// on both.
 //
 //   bench_kernels [--qubits=N] [--quick] [--json]
 //
@@ -19,6 +22,7 @@
 // speedup near 1 — they are in the table to pin that invariant, not to
 // race the tiers.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -39,6 +43,9 @@ struct Case {
   const char* name;
   Gate gate;
 };
+
+/// Timing windows per tier and case; the reported time is their median.
+constexpr int kWindows = 5;
 
 struct TierResult {
   const char* tier;
@@ -64,6 +71,11 @@ double time_apply(sv::StateVector& s, const Gate& g,
     // Re-estimate, growing at least 2x so short timers converge fast.
     reps *= 2;
   }
+}
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
 }
 
 std::string json_escape_gate(const Gate& g) {
@@ -144,11 +156,18 @@ int main(int argc, char** argv) {
   bool first_case = true;
   for (const Case& c : cases) {
     const double flops = sv::gate_flops(c.gate, n);
+    // Window w runs the tiers in order on even w and in reverse on odd w.
+    std::vector<std::vector<double>> windows(tiers.size());
+    for (int w = 0; w < kWindows; ++w)
+      for (std::size_t i = 0; i < tiers.size(); ++i) {
+        const std::size_t t = w % 2 == 0 ? i : tiers.size() - 1 - i;
+        windows[t].push_back(time_apply(s, c.gate, *tiers[t], min_seconds));
+      }
     std::vector<TierResult> results;
-    for (const sv::KernelOps* ops : tiers) {
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
       TierResult r;
-      r.tier = ops->name;
-      r.seconds_per_apply = time_apply(s, c.gate, *ops, min_seconds);
+      r.tier = tiers[t]->name;
+      r.seconds_per_apply = median(windows[t]);
       r.gflops = flops > 0.0 ? flops / r.seconds_per_apply / 1e9 : 0.0;
       r.speedup_vs_scalar =
           results.empty()

@@ -62,9 +62,10 @@ hisim::Result run_iqs(const Args& args, const Circuit& c, unsigned p);
 /// carries are read with metrics.at(), which fails loudly on a rename.
 double measured_or_zero(const hisim::Result& r, const std::string& key);
 
-/// Modeled comm share of Result::total_seconds(), in [0, 1]: the sharded
-/// targets' exchange.modeled_seconds.sum over the total (0 when the
-/// total is 0).
+/// Comm share of Result::total_seconds(), in [0, 1]: the sharded
+/// targets' exchange.modeled_seconds.sum over the total, which is the
+/// measured apply plus that modeled comm (0 when the total is 0). Only the
+/// numerator is modeled, so the share moves with the host's apply time.
 double comm_share(const hisim::Result& r);
 
 /// Geometric mean (ignores non-positive entries).

@@ -230,8 +230,7 @@ void execute_plan(const DistPlan& plan, DistState& state,
             apply_span.arg("rank", rank);
             const double t0 = wall.seconds();
             if (step.inner.num_parts() == 0) {
-              for (const Gate& g : local.gates())
-                sv::apply_gate(state.local(rank), g, kops);
+              sv::apply_gates(state.local(rank), local.gates(), kops);
             } else {
               // With more than one rank, level-2 parts record nothing: the
               // step's apply window is the rank's measurement.

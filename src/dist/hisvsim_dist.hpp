@@ -127,7 +127,10 @@ const Circuit& materialize(const DistPlan::Step& step,
 /// or layout planning happens here. Per step, the exchange runs through
 /// `backend` (nullptr = serial_backend()) and is charged against `net`;
 /// then every rank applies the step's slot-local gates to its own shard,
-/// as a real MPI rank would between exchanges. With an async backend
+/// as a real MPI rank would between exchanges: through sv::run_part per
+/// level-2 part, or, with level 2 off, through sv::apply_gates, which
+/// takes a shard wider than sv::kCacheQubits block by block. With an
+/// async backend
 /// (ThreadedBackend) a rank starts as soon as its shard has arrived: the
 /// comm/compute overlap of Sec. V-C, measured rather than modeled.
 ///

@@ -132,7 +132,7 @@ void run_part(const Circuit& c, std::span<const std::size_t> gates,
       cosets.gather(outer.data(), m, inner.data());
       gather_sw.stop();
       apply_sw.start();
-      for (const Gate& g : inner_gates) apply_gate(inner, g, kops);
+      apply_gates(inner, inner_gates, kops);
       apply_sw.stop();
       scatter_sw.start();
       cosets.scatter(outer.data(), m, inner.data());

@@ -25,7 +25,9 @@ bool fans_out(unsigned part_width, Index cosets, unsigned threads);
 /// Algorithm 1 (for every assignment of the qubits outside the part, gather
 /// the matching amplitudes into an inner vector, run the part's gates there
 /// with qubits remapped to inner slots, and scatter the results back), over
-/// the part's cosets on the path fans_out() picks. Bit-identical on every
+/// the part's cosets on the path fans_out() picks. The gates run through
+/// apply_gates, so an inner vector wider than kCacheQubits takes its runs
+/// of block-local gates block by block. Bit-identical on every
 /// path and thread count: each amplitude sees the same gate sequence and
 /// the copies are exact. `gates` are indices into `c`; `part_qubits` must
 /// be strictly ascending and hold the working set of those gates; extra

@@ -36,6 +36,9 @@ const char* kernel_tier_name(KernelTier tier);
 /// tier-invariant permutation/generic path that needs no table).
 ///
 /// Conventions shared by all entries:
+///  * `s` is any power-of-two span of amplitudes, bit q of an offset into
+///    it being qubit q: a whole state, or one block of it (apply_gates).
+///    Entries read only its data() and size().
 ///  * matrices are row-major spans of cplx (4 entries for 2x2, 16 for 4x4)
 ///  * `sorted_bits` lists *all* participating bit positions (controls +
 ///    target) in ascending order — the compact-enumeration primitive walks
@@ -48,31 +51,34 @@ struct KernelOps {
   const char* name;
 
   /// Dense 2x2 on qubit q: |size|/2 pair updates.
-  void (*apply_1q)(StateVector& s, Qubit q, const cplx* u2x2);
+  void (*apply_1q)(std::span<cplx> s, Qubit q, const cplx* u2x2);
 
   /// Diagonal 2x2 on qubit q: amplitudes with bit q clear scale by d0, set
   /// by d1. Entries equal to exactly 1.0 are skipped (not multiplied) so
   /// S/T/P touch only half the state.
-  void (*apply_1q_diag)(StateVector& s, Qubit q, cplx d0, cplx d1);
+  void (*apply_1q_diag)(std::span<cplx> s, Qubit q, cplx d0, cplx d1);
 
   /// Controlled dense 2x2: compact enumeration over
   /// size >> (1 + num_controls) pairs.
-  void (*apply_ctrl_1q)(StateVector& s, std::span<const Qubit> sorted_bits,
-                        Index cmask, Qubit target, const cplx* u2x2);
+  void (*apply_ctrl_1q)(std::span<cplx> s,
+                        std::span<const Qubit> sorted_bits, Index cmask,
+                        Qubit target, const cplx* u2x2);
 
   /// Controlled diagonal 2x2 (CZ/CRZ/CP): compact enumeration, exact-1.0
-  /// entries skipped.
-  void (*apply_ctrl_diag)(StateVector& s, std::span<const Qubit> sorted_bits,
-                          Index cmask, Qubit target, cplx d0, cplx d1);
+  /// entries skipped. `sorted_bits` holds at least one control besides
+  /// `target` (the simd tier's bit-0 path walks the other bits).
+  void (*apply_ctrl_diag)(std::span<cplx> s,
+                          std::span<const Qubit> sorted_bits, Index cmask,
+                          Qubit target, cplx d0, cplx d1);
 
   /// General k-qubit diagonal: amplitude i scales by phases[code(i)] where
   /// code gathers the bits of i at qs. Exact-1.0 phases skipped.
-  void (*apply_diag)(StateVector& s, std::span<const Qubit> qs,
+  void (*apply_diag)(std::span<cplx> s, std::span<const Qubit> qs,
                      std::span<const cplx> phases);
 
   /// Dense 4x4 on (qa, qb), local bit 0 = qa, bit 1 = qb. Fully unrolled —
   /// no per-block gather/scatter buffers. Target of fused 2-qubit runs.
-  void (*apply_2q)(StateVector& s, Qubit qa, Qubit qb, const cplx* u4x4);
+  void (*apply_2q)(std::span<cplx> s, Qubit qa, Qubit qb, const cplx* u4x4);
 };
 
 /// The scalar tier (always available).

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <span>
+
 #include "circuit/gate.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
@@ -23,6 +25,32 @@ namespace hisim::sv {
 /// blocks via parallel::for_range.
 void apply_gate(StateVector& state, const Gate& gate,
                 const KernelOps& ops = kernel_ops());
+
+/// Applies `gates` to `state` in order, with the bits apply_gate() gives
+/// one gate at a time, in fewer passes over a state larger than the
+/// cache. The state is cut into contiguous blocks of 2^kCacheQubits
+/// amplitudes (1 MiB). Every maximal run of two or more block-local gates
+/// is applied block by block, one pool task per block (inline inside a
+/// pool region): all of the run's gates act on a block before the next
+/// block is read. Gates outside runs are applied by apply_gate().
+///  * Block-local: every qubit the gate moves amplitudes along (a target,
+///    a swapped pair, a dense gate's qubits) is below kCacheQubits.
+///    Controls and the qubits of diagonal gates may lie anywhere; inside a
+///    block a qubit at or above kCacheQubits is fixed by the block's
+///    index. A control whose bit is 0 skips the gate, one whose bit is 1
+///    drops out, and a diagonal qubit selects the phases.
+///  * ZZ triple: cx(a, b) · D(b) · cx(a, b), with D a concrete one-qubit
+///    diagonal (not I or an unfilled noise slot) and the two cx gates
+///    identical, counts as one block-local diagonal that multiplies each
+///    amplitude by D's phase for bit a XOR bit b, wherever a and b lie.
+///    It is the ZZ term of QAOA and Ising cost layers.
+///  * Bit-identity: every amplitude gets the same multiplications in the
+///    same order as under apply_gate() gate by gate, exact-1.0 phases
+///    skipped as there, on either tier and at any thread count.
+/// States of kCacheQubits qubits or fewer take the plain gate-by-gate
+/// loop.
+void apply_gates(StateVector& state, std::span<const Gate> gates,
+                 const KernelOps& ops = kernel_ops());
 
 /// Counts the floating-point work of one gate application on an n-qubit
 /// state, matching what the kernels above actually execute:

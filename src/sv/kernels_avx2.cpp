@@ -89,7 +89,7 @@ double* amp(cplx* a, Index i) { return reinterpret_cast<double*>(a + i); }
 /// block size lets the compiler unroll `body`. Each pool chunk covers
 /// `chunk_amps` amplitudes.
 template <class Body>
-void for_each_block(StateVector& s, Qubit q, Index chunk_amps,
+void for_each_block(std::span<cplx> s, Qubit q, Index chunk_amps,
                     const Body& body) {
   double* a = amp(s.data(), 0);
   const auto walk = [&]<Qubit Q>() {
@@ -114,10 +114,12 @@ void for_each_block(StateVector& s, Qubit q, Index chunk_amps,
 }
 
 // Defined below; 1q gates on qubits >= 4 run on them.
-void a2_apply_ctrl_1q(StateVector& s, std::span<const Qubit> sorted_bits,
-                      Index cmask, Qubit target, const cplx* u);
-void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
-                        Index cmask, Qubit target, cplx d0, cplx d1);
+void a2_apply_ctrl_1q(std::span<cplx> s,
+                      std::span<const Qubit> sorted_bits, Index cmask,
+                      Qubit target, const cplx* u);
+void a2_apply_ctrl_diag(std::span<cplx> s,
+                        std::span<const Qubit> sorted_bits, Index cmask,
+                        Qubit target, cplx d0, cplx d1);
 
 // ---- dense 2x2 -------------------------------------------------------------
 
@@ -146,7 +148,7 @@ void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
     pair_vec_step(p0, p1, c00, c01, c10, c11);
 }
 
-void a2_apply_1q(StateVector& s, Qubit q, const cplx* u) {
+void a2_apply_1q(std::span<cplx> s, Qubit q, const cplx* u) {
   const Index half = s.size() >> 1;
   cplx* a = s.data();
   if (q == 0) {
@@ -228,7 +230,7 @@ template <int KEEP>
   }
 }
 
-void a2_apply_1q_diag(StateVector& s, Qubit q, cplx d0, cplx d1) {
+void a2_apply_1q_diag(std::span<cplx> s, Qubit q, cplx d0, cplx d1) {
   const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
   if (skip0 && skip1) return;
   cplx* a = s.data();
@@ -267,8 +269,9 @@ void a2_apply_1q_diag(StateVector& s, Qubit q, cplx d0, cplx d1) {
 
 // ---- controlled 2x2 --------------------------------------------------------
 
-void a2_apply_ctrl_1q(StateVector& s, std::span<const Qubit> sorted_bits,
-                      Index cmask, Qubit target, const cplx* u) {
+void a2_apply_ctrl_1q(std::span<cplx> s,
+                      std::span<const Qubit> sorted_bits, Index cmask,
+                      Qubit target, const cplx* u) {
   const Index tb = Index{1} << target;
   cplx* a = s.data();
   const CVec c00 = cvec_broadcast(u[0]), c01 = cvec_broadcast(u[1]);
@@ -292,7 +295,7 @@ void a2_apply_ctrl_1q(StateVector& s, std::span<const Qubit> sorted_bits,
 /// this steps over runs of pair indices p instead — for_each_run over the
 /// other gate bits and controls, shifted down one — and scales whole
 /// vectors per lane, blending back the lanes the gate leaves alone.
-void ctrl_diag_bit0(StateVector& s, std::span<const Qubit> sorted_bits,
+void ctrl_diag_bit0(std::span<cplx> s, std::span<const Qubit> sorted_bits,
                     Index cmask, Qubit target, cplx d0, cplx d1) {
   const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
   const std::size_t k = sorted_bits.size() - 1;
@@ -329,8 +332,9 @@ void ctrl_diag_bit0(StateVector& s, std::span<const Qubit> sorted_bits,
     sweep([=](double* p, Index n) { scale_lanes<0>(p, n, cd); });
 }
 
-void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
-                        Index cmask, Qubit target, cplx d0, cplx d1) {
+void a2_apply_ctrl_diag(std::span<cplx> s,
+                        std::span<const Qubit> sorted_bits, Index cmask,
+                        Qubit target, cplx d0, cplx d1) {
   const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
   if (skip0 && skip1) return;
   if (sorted_bits.front() == 0) {
@@ -353,7 +357,7 @@ void a2_apply_ctrl_diag(StateVector& s, std::span<const Qubit> sorted_bits,
 
 // ---- general diagonal ------------------------------------------------------
 
-void a2_apply_diag(StateVector& s, std::span<const Qubit> qs,
+void a2_apply_diag(std::span<cplx> s, std::span<const Qubit> qs,
                    std::span<const cplx> phases) {
   const Qubit minq = *std::min_element(qs.begin(), qs.end());
   if (minq == 0) {  // phase can change every amplitude — nothing to batch
@@ -379,7 +383,7 @@ void a2_apply_diag(StateVector& s, std::span<const Qubit> qs,
 
 // ---- dense 4x4 -------------------------------------------------------------
 
-void a2_apply_2q(StateVector& s, Qubit qa, Qubit qb, const cplx* u) {
+void a2_apply_2q(std::span<cplx> s, Qubit qa, Qubit qb, const cplx* u) {
   const Qubit lo_q = std::min(qa, qb), hi_q = std::max(qa, qb);
   if (lo_q == 0) {  // quad streams are stride-2 — no contiguous runs
     fb::apply_2q(s, qa, qb, u);

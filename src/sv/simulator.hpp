@@ -7,8 +7,9 @@
 namespace hisim::sv {
 
 /// Reference flat simulator: applies every gate directly to the full state
-/// vector (no partitioning). Ground truth for all correctness tests and
-/// the non-hierarchical arm of the Table II comparison.
+/// vector (no partitioning), one pass per gate through apply_gate. Ground
+/// truth for all correctness tests, the blocked runs of apply_gates
+/// included, and the non-hierarchical arm of the Table II comparison.
 class FlatSimulator {
  public:
   /// Applies all gates of `c` to `state` (sizes must match). `ops`

@@ -13,6 +13,7 @@
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
 #include "sv/hierarchical.hpp"
+#include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim {
@@ -68,11 +69,50 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
   const Circuit c = circuits::ising(9, 2, 11);
   const unsigned n = c.num_qubits();
 
+  // Wider than the cache block (sv::kCacheQubits), where the flat target
+  // and the distributed ones with level 2 off apply runs of block-local
+  // gates block by block (sv::apply_gates).
+  const std::vector<Circuit> wide = {circuits::qft(18),
+                                     circuits::qaoa(18, 2, 7),
+                                     circuits::ising(18, 2, 11)};
   {  // Flat vs FlatSimulator.
     Options o;
     o.target = Target::Flat;
     expect_bit_identical(Engine::compile(c, o).execute().state,
                          sv::FlatSimulator().simulate(c), "flat");
+    for (const Circuit& w : wide) {
+      const ExecutionPlan plan = Engine::compile(w, o);
+      expect_bit_identical(plan.execute().state,
+                           sv::FlatSimulator().simulate(plan.circuit()),
+                           "flat " + w.name());
+    }
+  }
+  for (const Circuit& w : wide) {
+    // Distributed-serial with level 2 off vs its plan's steps applied gate
+    // by gate to 17-qubit shards.
+    const unsigned p = 1;
+    const unsigned wn = w.num_qubits();
+    Options o;
+    o.target = Target::DistributedSerial;
+    o.process_qubits = p;
+    o.level2_limit = wn - p;
+    const ExecutionPlan plan = Engine::compile(w, o);
+    dist::DistOptions dopt;
+    dopt.process_qubits = p;
+    dopt.part.limit = 0;  // every local qubit, as the engine compiles it
+    dopt.part.seed = o.seed;
+    const dist::DistPlan dplan = dist::compile_plan(plan.circuit(), dopt);
+    ASSERT_EQ(dplan.num_parts(), plan.num_parts()) << w.name();
+    dist::DistState legacy(wn, p);
+    dist::CommStats stats;
+    for (const dist::DistPlan::Step& step : dplan.steps) {
+      legacy.redistribute(step.layout, {}, stats);
+      for (unsigned r = 0; r < legacy.num_ranks(); ++r)
+        for (const Gate& g : step.local.gates())
+          sv::apply_gate(legacy.local(r), g);
+    }
+    expect_bit_identical(plan.execute().state, legacy.to_state_vector(),
+                         "distributed-serial level 2 off " + w.name());
   }
   {  // Hierarchical (parts padded to the limit) vs make_partition +
      // run_part over every part's unpadded working set.

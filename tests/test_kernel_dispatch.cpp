@@ -2,8 +2,10 @@
 // produces the same state on every available tier — bit-identical for
 // permutation and diagonal kinds (pure index moves / skip-or-multiply
 // phase sweeps), within 1e-12 for dense kernels — and the tier threads
-// through FlatSimulator and all six Engine targets. Tier resolution
-// itself (parse, names, forced-simd failure) is pinned here too.
+// through FlatSimulator and all six Engine targets. sv::apply_gates, which
+// applies runs of gates block by block, gives the bits of sv::apply_gate
+// one gate at a time. Tier resolution itself (parse, names, forced-simd
+// failure) is pinned here too.
 
 #include "sv/kernel_dispatch.hpp"
 
@@ -11,6 +13,9 @@
 
 #include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,15 +38,20 @@
 namespace hisim {
 namespace {
 
+/// memcmp-strength equality: catches even -0.0 vs +0.0 sign flips, which
+/// the skip-exact-1.0 diagonal contract is specifically about. Reports the
+/// first differing amplitude and the number that differ.
 void expect_bit_identical(const sv::StateVector& a, const sv::StateVector& b,
                           const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
-  for (Index i = 0; i < a.size(); ++i) {
-    // memcmp-strength equality: catches even -0.0 vs +0.0 sign flips,
-    // which the skip-exact-1.0 diagonal contract is specifically about.
-    EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(cplx)), 0)
-        << what << " amp " << i << ": " << a[i] << " vs " << b[i];
-  }
+  if (std::memcmp(a.data(), b.data(), a.bytes()) == 0) return;
+  Index first = a.size(), count = 0;
+  for (Index i = 0; i < a.size(); ++i)
+    if (std::memcmp(&a[i], &b[i], sizeof(cplx)) != 0) {
+      if (count++ == 0) first = i;
+    }
+  ADD_FAILURE() << what << ": " << count << " amplitudes differ, first "
+                << first << ": " << a[first] << " vs " << b[first];
 }
 
 /// A gate kind (or a dense / Kraus Unitary form) as a factory over its
@@ -174,13 +184,18 @@ bool is_permutation(const Gate& g) {
   }
 }
 
+/// A random state whose every third amplitude has an imaginary part of
+/// exactly -0.0: a multiply by an exact 1.0 phase would flip it to +0.0
+/// wherever the real part is positive, so a bit-identity check sees a
+/// kernel that fails to skip such a multiply.
+sv::StateVector signed_zero_state(unsigned n) {
+  sv::StateVector s = testutil::random_state(n, 0xabcd);
+  for (Index i = 0; i < s.size(); i += 3) s[i] = cplx(s[i].real(), -0.0);
+  return s;
+}
+
 void expect_tiers_agree(const Gate& g, unsigned n) {
-  // Every third amplitude gets an imaginary part of exactly -0.0: a
-  // multiply by an exact 1.0 phase would flip it to +0.0 wherever the
-  // real part is positive, so the bit-identity check below sees a tier
-  // that fails to skip such a multiply.
-  sv::StateVector a = testutil::random_state(n, 0xabcd);
-  for (Index i = 0; i < a.size(); i += 3) a[i] = cplx(a[i].real(), -0.0);
+  sv::StateVector a = signed_zero_state(n);
   sv::StateVector b = a;
   sv::apply_gate(a, g, sv::kernel_ops(sv::KernelTier::Scalar));
   sv::apply_gate(b, g, sv::kernel_ops(sv::KernelTier::Simd));
@@ -198,6 +213,95 @@ TEST(KernelDispatch, EveryGateKindEveryTierMatchesScalar) {
   with_threads(4, [] {
     for (const Gate& g : pooled_gates()) expect_tiers_agree(g, 15);
   });
+}
+
+/// Applies `gates` to a copy of `start` in one apply_gates call at each
+/// thread count of `threads`; every result must have the bits of
+/// apply_gate one gate at a time.
+void expect_runs_match(const sv::StateVector& start,
+                       std::span<const Gate> gates, const sv::KernelOps& ops,
+                       std::initializer_list<unsigned> threads,
+                       const std::string& what) {
+  sv::StateVector want = start;
+  for (const Gate& g : gates) sv::apply_gate(want, g, ops);
+  for (unsigned t : threads)
+    with_threads(t, [&] {
+      sv::StateVector got = start;
+      sv::apply_gates(got, gates, ops);
+      expect_bit_identical(want, got,
+                           what + ", " + std::to_string(t) + " threads");
+    });
+}
+
+std::vector<const sv::KernelOps*> available_tiers() {
+  std::vector<const sv::KernelOps*> out = {
+      &sv::kernel_ops(sv::KernelTier::Scalar)};
+  if (sv::simd_kernels_available())
+    out.push_back(&sv::kernel_ops(sv::KernelTier::Simd));
+  return out;
+}
+
+// apply_gates applies runs of block-local gates to a state wider than the
+// cache block by block, 2^kCacheQubits amplitudes at a time, with the
+// qubits at or above the block boundary fixed per block. Every kind, with
+// its targets, controls and diagonal qubits on both sides of the
+// boundary, must give the bits of apply_gate one gate at a time. Each gate
+// is followed by an identity, so a block-local gate sits in a run even
+// between two gates that are not block-local.
+TEST(KernelDispatch, ApplyGatesMatchesGateByGate) {
+  const unsigned n = sv::kCacheQubits + 2;
+  const sv::StateVector start = signed_zero_state(n);
+  const std::vector<Qubit> on = {0, 1, 2, n - 4, n - 3, n - 2, n - 1};
+  for (const sv::KernelOps* ops : available_tiers())
+    for (const Kind& kind : every_kind()) {
+      std::vector<Gate> gates;
+      for (const std::vector<Qubit>& p :
+           placements(kind.arity, static_cast<unsigned>(on.size()))) {
+        std::vector<Qubit> q;
+        for (Qubit i : p) q.push_back(on[i]);
+        gates.push_back(kind.make(q));
+        gates.push_back(Gate::i(0));
+      }
+      expect_runs_match(start, gates, *ops, {1, 3, 4},
+                        std::string(ops->name) + ", " + gates[0].to_string());
+    }
+}
+
+// cx(a, b) · D(b) · cx(a, b) applies as one diagonal on a XOR b wherever a
+// and b lie, so a ZZ term with b above the block boundary stays inside a
+// run. Near misses must fall back to their gates one by one.
+TEST(KernelDispatch, ApplyGatesZzTripleMatchesGateByGate) {
+  const unsigned n = sv::kCacheQubits + 2;
+  const sv::StateVector start = signed_zero_state(n);
+  const Qubit hi = n - 2, top = n - 1;
+  std::vector<std::vector<Gate>> cases;
+  const std::vector<std::pair<Qubit, Qubit>> ab = {
+      {0, hi}, {3, top}, {top, hi}, {hi, top}, {2, 5}, {hi, 1}, {hi - 2, 0}};
+  for (const auto& [a, b] : ab)
+    for (const Gate& d : {Gate::rz(b, 0.7), Gate::p(b, -1.3), Gate::z(b)})
+      cases.push_back({Gate::cx(a, b), d, Gate::cx(a, b)});
+  // Overlapping triples share their middle cx.
+  cases.push_back({Gate::cx(3, hi), Gate::rz(hi, 0.3), Gate::cx(3, hi),
+                   Gate::rz(hi, 0.5), Gate::cx(3, hi)});
+  Matrix damp(2, 2);  // a sampled trajectory operator, diagonal
+  damp(0, 0) = 1.0;
+  damp(1, 1) = 0.8;
+  for (const Gate& middle :
+       {Gate::rx(hi, 0.7), Gate::kraus({hi}, damp), Gate::noise_slot(hi, 0),
+        Gate::i(hi), Gate::rz(3, 0.7)})
+    cases.push_back({Gate::cx(3, hi), middle, Gate::cx(3, hi)});
+  cases.push_back({Gate::cx(3, hi), Gate::rz(hi, 0.7), Gate::cx(4, hi)});
+  for (const sv::KernelOps* ops : available_tiers())
+    for (const std::vector<Gate>& c : cases) {
+      // Alone, and inside a longer run of block-local gates.
+      std::vector<Gate> framed = {Gate::h(0)};
+      framed.insert(framed.end(), c.begin(), c.end());
+      framed.push_back(Gate::t(1));
+      std::string what = ops->name;
+      for (const Gate& g : c) what += ", " + g.to_string();
+      expect_runs_match(start, c, *ops, {1, 4}, what);
+      expect_runs_match(start, framed, *ops, {1, 4}, what + " (framed)");
+    }
 }
 
 /// The amplitude index a permutation gate moves into index j (each kind is
