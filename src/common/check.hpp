@@ -17,7 +17,7 @@
 ///    only when the build was configured with -DHISIM_CHECKED=ON. They
 ///    guard *internal invariants*: properties that hold unless the library
 ///    itself has a bug (norm preservation, exchange-schedule conservation,
-///    fusion-run disjointness). The condition is compiled in every
+///    plan invariants). The condition is compiled in every
 ///    configuration (so a check can never rot behind an #ifdef) but the
 ///    compiler drops the dead branch when HISIM_CHECKED is off — zero
 ///    cost in release builds. Violations print and abort(): an invariant

@@ -27,7 +27,7 @@ Instrumented instrument(const Circuit& c, const NoiseModel& model) {
   Instrumented out;
   Circuit ic(c.num_qubits(), c.name());
   // Re-registering in order preserves parameter ids, so symbolic gates
-  // keep their expressions intact (same pattern as fuse()).
+  // keep their expressions intact.
   for (const std::string& p : c.param_names()) ic.param(p);
 
   // Channel table deduplicated by model rule (most slots share channels);

@@ -16,8 +16,7 @@
 /// is adjacent to its partner on *every* shared qubit (gates on disjoint
 /// qubits in between commute trivially and do not block). Two gate classes
 /// are hard barriers — never removed, merged, or moved, and breaking
-/// adjacency on their qubits — mirroring the rule circuit/fusion.cpp
-/// already follows:
+/// adjacency on their qubits:
 ///   - unbound symbolic gates (Gate::is_parametric()): their angles are
 ///     unknown at compile time, and rewriting around a value that arrives
 ///     at execute would change plan structure per binding;

@@ -1,5 +1,6 @@
 #include "qasm/parser.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <functional>
@@ -179,26 +180,7 @@ class Parser {
       if (at_kw("barrier")) { skip_to_semicolon(); continue; }
       GateDef::Call call;
       call.name = expect(TokKind::Identifier, "gate name in body").text;
-      if (at(TokKind::LParen)) {
-        eat();
-        int depth = 1;
-        std::vector<Token> expr;
-        while (depth > 0) {
-          if (at(TokKind::LParen)) ++depth;
-          if (at(TokKind::RParen)) {
-            --depth;
-            if (depth == 0) { eat(); break; }
-          }
-          if (at(TokKind::Comma) && depth == 1) {
-            call.param_exprs.push_back(expr);
-            expr.clear();
-            eat();
-            continue;
-          }
-          expr.push_back(eat());
-        }
-        call.param_exprs.push_back(expr);
-      }
+      if (at(TokKind::LParen)) call.param_exprs = parse_param_list();
       while (!at(TokKind::Semicolon)) {
         call.arg_names.push_back(
             expect(TokKind::Identifier, "qubit arg in body").text);
@@ -209,6 +191,29 @@ class Parser {
     }
     eat();  // }
     gate_defs_[name] = std::move(def);
+  }
+
+  /// The comma-separated expressions of the parameter list that starts
+  /// at the current '(', as token slices; consumes through the matching
+  /// ')'. The last slice is empty for `()` and after a trailing ','.
+  std::vector<std::vector<Token>> parse_param_list() {
+    eat();  // (
+    std::vector<std::vector<Token>> exprs(1);
+    int depth = 1;
+    while (true) {
+      if (at(TokKind::End)) fail("unterminated parameter list");
+      if (at(TokKind::LParen)) ++depth;
+      if (at(TokKind::RParen) && --depth == 0) {
+        eat();
+        return exprs;
+      }
+      if (at(TokKind::Comma) && depth == 1) {
+        exprs.emplace_back();
+        eat();
+        continue;
+      }
+      exprs.back().push_back(eat());
+    }
   }
 
   // expression evaluation over a parameter environment ---------------------
@@ -314,25 +319,10 @@ class Parser {
     const std::string name = name_tok.text;
     std::vector<double> params;
     if (at(TokKind::LParen)) {
-      eat();
-      std::vector<Token> expr;
-      int depth = 1;
-      while (depth > 0) {
-        if (at(TokKind::End)) fail("unterminated parameter list");
-        if (at(TokKind::LParen)) ++depth;
-        if (at(TokKind::RParen)) {
-          --depth;
-          if (depth == 0) { eat(); break; }
-        }
-        if (at(TokKind::Comma) && depth == 1) {
-          params.push_back(eval_expr(expr, {}));
-          expr.clear();
-          eat();
-          continue;
-        }
-        expr.push_back(eat());
-      }
-      if (!expr.empty()) params.push_back(eval_expr(expr, {}));
+      std::vector<std::vector<Token>> exprs = parse_param_list();
+      if (exprs.back().empty()) exprs.pop_back();  // `()` or a trailing ','
+      for (const std::vector<Token>& expr : exprs)
+        params.push_back(eval_expr(expr, {}));
     }
     std::vector<Operand> ops;
     while (!at(TokKind::Semicolon)) {
@@ -376,6 +366,10 @@ class Parser {
     // User definitions shadow builtins.
     if (auto it = gate_defs_.find(name); it != gate_defs_.end()) {
       const GateDef& def = it->second;
+      // A body that reaches its own gate again would expand forever.
+      if (std::find(expanding_.begin(), expanding_.end(), &def) !=
+          expanding_.end())
+        throw Error("QASM: gate '" + name + "' calls itself");
       HISIM_CHECK_MSG(params.size() == def.params.size(),
                       "param count mismatch calling gate " << name);
       HISIM_CHECK_MSG(qs.size() == def.args.size(),
@@ -385,6 +379,7 @@ class Parser {
         env[def.params[i]] = params[i];
       std::map<std::string, Qubit> qenv;
       for (std::size_t i = 0; i < qs.size(); ++i) qenv[def.args[i]] = qs[i];
+      expanding_.push_back(&def);
       for (const auto& call : def.body) {
         std::vector<double> sub_params;
         for (const auto& expr : call.param_exprs)
@@ -398,6 +393,7 @@ class Parser {
         }
         apply_named(call.name, sub_params, sub_qs);
       }
+      expanding_.pop_back();
       return;
     }
     const auto it = builtin_gates().find(name);
@@ -424,6 +420,7 @@ class Parser {
   std::unordered_map<std::string, Reg> qregs_;
   std::vector<std::string> qreg_order_;
   std::unordered_map<std::string, GateDef> gate_defs_;
+  std::vector<const GateDef*> expanding_;  // definitions being applied
 };
 
 }  // namespace

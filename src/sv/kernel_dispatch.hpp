@@ -77,7 +77,8 @@ struct KernelOps {
                      std::span<const cplx> phases);
 
   /// Dense 4x4 on (qa, qb), local bit 0 = qa, bit 1 = qb. Fully unrolled —
-  /// no per-block gather/scatter buffers. Target of fused 2-qubit runs.
+  /// no per-block gather/scatter buffers. Target of RXX and raw 2-qubit
+  /// unitaries.
   void (*apply_2q)(std::span<cplx> s, Qubit qa, Qubit qb, const cplx* u4x4);
 };
 

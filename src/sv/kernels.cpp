@@ -51,8 +51,9 @@ void swap_runs(std::span<cplx> s, std::span<const Qubit> sorted_bits,
 }
 
 // ---- generic k-qubit dense kernel ------------------------------------------
-// Gather/scatter through per-chunk buffers; shared by every tier (the
-// k >= 3 dense case is rare after fusion caps runs at 2-3 qubits).
+// Gather/scatter through per-chunk buffers; shared by every tier. Only
+// dense Unitary-kind gates (Gate::unitary, Gate::kraus) of three or more
+// qubits reach it.
 
 void apply_generic(std::span<cplx> s, std::span<const Qubit> qs,
                    const Matrix& u) {
@@ -416,7 +417,7 @@ double gate_flops(const Gate& gate, unsigned num_qubits) {
   }
   if (gate.arity() == 2) {
     // Unrolled 4x4 kernel: 16 complex multiplies (6) + 12 complex adds
-    // (2) = 120 FLOPs per 4-amplitude block (fused 2q runs, RXX).
+    // (2) = 120 FLOPs per 4-amplitude block (RXX, raw 2q unitaries).
     return 120.0 * (amps / 4.0);
   }
   // k-qubit dense: 2^k x 2^k matvec per block: 8*2^k*2^k - 2*2^k FLOPs.

@@ -17,8 +17,8 @@ namespace hisim::sv {
 ///  * single-qubit dense  — the tier's 2x2 pair kernel (Fig. 1 pattern)
 ///  * controlled 2x2      — compact enumeration over control-satisfied
 ///    pair bases only (size >> (1+nc))
-///  * 2-qubit dense       — the tier's unrolled 4x4 kernel (fused blocks,
-///    RXX, raw 2q unitaries)
+///  * 2-qubit dense       — the tier's unrolled 4x4 kernel (RXX, raw 2q
+///    unitaries)
 ///  * generic k-qubit     — gather 2^k amplitudes, multiply, scatter
 /// `ops` selects the kernel tier (see kernel_dispatch.hpp); the default
 /// resolves KernelTier::Auto once. All kernels parallelize over amplitude

@@ -6,8 +6,9 @@
 
 namespace hisim::sv {
 
-/// Cache hierarchy parameters for the analytic memory-traffic model that
-/// substitutes for the paper's VTune profiling (Table II). Defaults mirror
+/// Cache hierarchy parameters for the analytic memory-traffic model, the
+/// one model that substitutes for the paper's VTune profiling (Table II;
+/// bench_table2_memory). Defaults mirror
 /// the paper's example machine: 64 KiB L1 / 1 MiB L2 / 32 MiB LLC.
 struct CacheConfig {
   Index l1_bytes = 64ull << 10;
@@ -43,7 +44,10 @@ TrafficBreakdown model_traffic(const Circuit& c,
                                const partition::Partitioning& p,
                                const CacheConfig& cache = {});
 
-/// Traffic of a flat run: every gate sweeps the full state vector.
+/// Traffic of gate-by-gate flat execution (sv::FlatSimulator): every gate
+/// sweeps the full state vector. The flat target is not modeled: it
+/// applies runs of block-local gates one 1 MiB block at a time
+/// (sv::apply_gates).
 TrafficBreakdown model_flat_traffic(const Circuit& c,
                                     const CacheConfig& cache = {});
 

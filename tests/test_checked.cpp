@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "circuit/fusion.hpp"
 #include "circuits/generators.hpp"
 #include "common/check.hpp"
 #include "dist/hisvsim_dist.hpp"
@@ -19,6 +18,7 @@
 #include "noise/trajectory.hpp"
 #include "sv/simulator.hpp"
 #include "sv/state_vector.hpp"
+#include "testing/random_circuits.hpp"
 
 namespace hisim {
 namespace {
@@ -35,28 +35,6 @@ TEST(CheckedDeath, NormNotPreservedAborts) {
 TEST(Checked, NormWithinToleranceAccepted) {
   sv::validate_norm_preserved(1.0, 1.0 + 1e-12, "test");
   sv::validate_norm_preserved(4.0, 4.0 - 1e-10, "scaled");
-}
-
-// ---- fusion-run disjointness ----------------------------------------------
-
-TEST(CheckedDeath, OverlappingFusionSupportsAbort) {
-  const std::vector<std::vector<Qubit>> supports = {{0, 1}, {1, 2}};
-  EXPECT_DEATH(validate_fusion_supports(supports, 3), "overlap");
-}
-
-TEST(CheckedDeath, UnsortedFusionSupportAborts) {
-  const std::vector<std::vector<Qubit>> supports = {{1, 0}};
-  EXPECT_DEATH(validate_fusion_supports(supports, 3), "not sorted");
-}
-
-TEST(CheckedDeath, OverwideFusionSupportAborts) {
-  const std::vector<std::vector<Qubit>> supports = {{0, 1, 2, 3}};
-  EXPECT_DEATH(validate_fusion_supports(supports, 3), "limit is 3");
-}
-
-TEST(Checked, DisjointFusionSupportsAccepted) {
-  const std::vector<std::vector<Qubit>> supports = {{0, 1}, {2, 3}, {5}};
-  validate_fusion_supports(supports, 3);
 }
 
 // ---- noise-slot table ------------------------------------------------------
@@ -287,8 +265,13 @@ std::vector<Options> hierarchical_and_iqs(unsigned limit) {
   return {hier, iqs};
 }
 
-TEST(Checked, FusedAndNoisyPlansValidate) {
-  const Circuit c = fuse(circuits::qft(7), {.max_qubits = 3});
+TEST(Checked, DenseBlockAndNoisyPlansValidate) {
+  Circuit c = circuits::qft(7);
+  Rng rng(7);
+  for (const std::vector<Qubit>& q :
+       std::vector<std::vector<Qubit>>{{0, 4}, {6, 1, 3}, {2, 5}, {3, 0, 6}})
+    c.add(Gate::unitary(
+        q, testutil::random_unitary(static_cast<unsigned>(q.size()), rng)));
   for (Options opt : hierarchical_and_iqs(5)) {
     SCOPED_TRACE(target_name(opt.target));
     opt.noise.after_all_gates(noise::Channel::depolarizing(0.01));

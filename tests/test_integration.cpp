@@ -1,18 +1,18 @@
 // End-to-end integration: every benchmark family flows through the whole
-// stack — QASM round-trip, fusion, all three partitioners, single-node
+// stack — QASM round-trip, all three partitioners, single-node
 // hierarchical, distributed HiSVSIM with and without a second level, IQS
 // baseline — and all paths must agree with the flat reference on the final
 // amplitudes.
 
 #include <gtest/gtest.h>
 
-#include "circuit/fusion.hpp"
 #include "circuits/generators.hpp"
 #include "hisvsim/engine.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 #include "sv/observables.hpp"
 #include "sv/simulator.hpp"
+#include "testing/random_circuits.hpp"
 
 namespace hisim {
 namespace {
@@ -32,20 +32,7 @@ TEST_P(FullPipeline, AllPathsAgreeOnSuiteCircuit) {
         << name << " qasm";
   }
 
-  // 2. Fusion (skip when a wide MCX exceeds the fusion width).
-  {
-    unsigned max_arity = 1;
-    for (const Gate& g : c.gates())
-      max_arity = std::max(max_arity, g.arity());
-    FusionOptions fo;
-    fo.max_qubits = std::max(3u, std::min(max_arity, 6u));
-    const Circuit fused = fuse(c, fo);
-    EXPECT_LE(fused.num_gates(), c.num_gates());
-    EXPECT_LT(sv::FlatSimulator().simulate(fused).max_abs_diff(ref), 1e-8)
-        << name << " fusion";
-  }
-
-  // 3. All strategies, single-node hierarchical.
+  // 2. All strategies, single-node hierarchical.
   unsigned max_arity = 1;
   for (const Gate& g : c.gates()) max_arity = std::max(max_arity, g.arity());
   const unsigned limit = std::max(5u, max_arity);
@@ -58,7 +45,7 @@ TEST_P(FullPipeline, AllPathsAgreeOnSuiteCircuit) {
         << name << " " << partition::strategy_name(s);
   }
 
-  // 4. Distributed HiSVSIM, one and two levels, + IQS baseline.
+  // 3. Distributed HiSVSIM, one and two levels, + IQS baseline.
   for (unsigned level2 : {0u, 3u}) {
     if (level2 != 0 && max_arity > level2) continue;
     Options opt;
@@ -80,7 +67,7 @@ TEST_P(FullPipeline, AllPathsAgreeOnSuiteCircuit) {
         << name << " iqs";
   }
 
-  // 5. Observables stay physical.
+  // 4. Observables stay physical.
   EXPECT_NEAR(ref.norm(), 1.0, 1e-9);
   for (Qubit q = 0; q < n; ++q) {
     sv::PauliString z;
@@ -98,17 +85,22 @@ INSTANTIATE_TEST_SUITE_P(
                       "grover", "qpe", "adder37"),
     [](const auto& ti) { return ti.param; });
 
-TEST(Integration, FusionThenDistributedThenSampling) {
-  // The full user workflow: fuse, partition with dagP, run on the
-  // simulated cluster, then sample outcomes.
-  const Circuit c = circuits::ising(10, 3, 21);
-  const Circuit fused = fuse(c, {.max_qubits = 3, .keep_wide_gates = true});
+TEST(Integration, DenseBlocksThenDistributedThenSampling) {
+  // The full user workflow on a circuit with dense 2- and 3-qubit
+  // Gate::unitary blocks: partition with dagP, run on the simulated
+  // cluster, then sample outcomes.
+  Circuit c = circuits::ising(10, 3, 21);
+  Rng rng(21);
+  for (const std::vector<Qubit>& q : std::vector<std::vector<Qubit>>{
+           {0, 1}, {2, 7, 9}, {8, 3}, {5, 4, 6}, {9, 0, 1}})
+    c.add(Gate::unitary(
+        q, testutil::random_unitary(static_cast<unsigned>(q.size()), rng)));
   Options opt;
   opt.target = Target::DistributedSerial;
   opt.process_qubits = 2;
   ExecOptions x;
   x.shots = 200;
-  const Result r = Engine::compile(fused, opt).execute(x);
+  const Result r = Engine::compile(c, opt).execute(x);
   EXPECT_GT(r.parts, 0u);
   EXPECT_LT(r.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
   EXPECT_EQ(r.samples.size(), 200u);

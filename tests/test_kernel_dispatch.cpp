@@ -72,6 +72,8 @@ std::vector<Kind> every_kind() {
     for (std::size_t c = 0; c < 2; ++c) k2(r, c) *= 0.9;  // non-unitary
   const Matrix u4 =
       Gate::rxx(0, 1, 0.37).matrix() * Gate::cp(0, 1, -0.81).matrix();
+  Rng rng(0x8d);
+  const Matrix u8 = testutil::random_unitary(3, rng);  // apply_generic
   using Q = std::vector<Qubit>;
   return {
       {1, [](const Q& q) { return Gate::i(q[0]); }},
@@ -107,6 +109,7 @@ std::vector<Kind> every_kind() {
       {2, [u4](const Q& q) { return Gate::unitary(q, u4); }},
       {3, [](const Q& q) { return Gate::ccx(q[0], q[1], q[2]); }},
       {3, [](const Q& q) { return Gate::cswap(q[0], q[1], q[2]); }},
+      {3, [u8](const Q& q) { return Gate::unitary(q, u8); }},
       {4, [](const Q& q) { return Gate::mcx(q); }},
   };
 }

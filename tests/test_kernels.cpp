@@ -40,6 +40,9 @@ StateVector apply_reference(const StateVector& in, const Gate& g) {
 }
 
 std::vector<Gate> gates_under_test() {
+  Rng rng(17);
+  const Matrix u4 = testutil::random_unitary(2, rng);
+  const Matrix u8 = testutil::random_unitary(3, rng);  // apply_generic
   return {
       Gate::x(2),          Gate::h(0),           Gate::y(3),
       Gate::z(1),          Gate::s(2),           Gate::tdg(0),
@@ -54,6 +57,7 @@ std::vector<Gate> gates_under_test() {
       Gate::rxx(0, 2, -0.4),
       Gate::ccx(0, 1, 3),  Gate::ccx(3, 2, 0),   Gate::cswap(2, 0, 3),
       Gate::mcx({1, 2, 3, 0}),
+      Gate::unitary({2, 0}, u4), Gate::unitary({1, 3, 0}, u8),
   };
 }
 
@@ -127,7 +131,7 @@ TEST(Kernels, FlopsModel) {
             gate_flops(Gate::rx(1, 0.5), 10) / 2.0);
   EXPECT_EQ(gate_flops(Gate::cp(0, 1, 0.5), 10),
             gate_flops(Gate::p(1, 0.5), 10) / 2.0);
-  // Fused 4x4 blocks: 120 FLOPs per 4 amplitudes = 30 per amplitude.
+  // Dense 4x4 blocks: 120 FLOPs per 4 amplitudes = 30 per amplitude.
   EXPECT_EQ(gate_flops(Gate::rxx(0, 1, 0.5), 10), 30.0 * 1024.0);
 }
 

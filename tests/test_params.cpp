@@ -1,6 +1,6 @@
 // Symbolic parameters and bind-at-execute sweeps: the ParamExpr algebra,
-// gate/circuit materialization, binding validation, fusion parity, and the
-// headline contract — one compiled plan, bit-identical to per-point
+// gate/circuit materialization, binding validation, and the headline
+// contract — one compiled plan, bit-identical to per-point
 // recompilation, across every target. The concurrency tests run under TSan
 // in CI (see .github/workflows/ci.yml).
 
@@ -15,7 +15,6 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/decompose.hpp"
-#include "circuit/fusion.hpp"
 #include "circuit/gate.hpp"
 #include "circuits/generators.hpp"
 #include "common/error.hpp"
@@ -177,21 +176,6 @@ TEST(ParamExpr, AddRejectsForeignParamHandles) {
   a.add(Gate::rx(0, x));  // the owning circuit accepts it
 }
 
-TEST(ParamExpr, FusionArityPolicyAppliesToSymbolicGates) {
-  Circuit c(2);
-  const Param th = c.param("theta");
-  c.add(Gate::rzz(0, 1, th));
-  // keep_wide_gates=false promises no gate wider than max_qubits in the
-  // output — a symbolic wide gate must trip it like a concrete one.
-  EXPECT_THROW(
-      fuse(c, FusionOptions{.max_qubits = 1, .keep_wide_gates = false}),
-      Error);
-  const Circuit fused =
-      fuse(c, FusionOptions{.max_qubits = 1, .keep_wide_gates = true});
-  EXPECT_EQ(fused.num_gates(), 1u);  // passed through unchanged
-  EXPECT_TRUE(fused.gate(0).is_parametric());
-}
-
 TEST(ParamExpr, SymbolicZyzLoweringThrowsClearly) {
   Circuit c(2);
   const Param th = c.param("theta");
@@ -228,33 +212,6 @@ TEST(ParamExpr, LoweringKeepsExpressionsSymbolic) {
   const sv::StateVector lowered =
       sv::FlatSimulator().simulate(low.bound(b));
   EXPECT_LT(direct.max_abs_diff(lowered), 1e-12);
-}
-
-TEST(ParamExpr, FusionParityOnMixedCircuit) {
-  Circuit c(3, "mixed");
-  const Param th = c.param("theta");
-  c.add(Gate::h(0));
-  c.add(Gate::cx(0, 1));
-  c.add(Gate::rz(1, th));       // symbolic: breaks the fusion run
-  c.add(Gate::h(2));
-  c.add(Gate::cx(1, 2));
-  c.add(Gate::rx(2, 2.0 * th));
-  c.add(Gate::t(0));
-  c.add(Gate::cx(0, 1));
-
-  const Circuit fused = fuse(c, FusionOptions{.max_qubits = 2});
-  EXPECT_TRUE(fused.is_parameterized());
-  EXPECT_LT(fused.num_gates(), c.num_gates());  // concrete runs fused
-  std::size_t symbolic = 0;
-  for (const Gate& g : fused.gates()) symbolic += g.is_parametric();
-  EXPECT_EQ(symbolic, 2u);  // both symbolic gates passed through intact
-
-  for (double v : {0.0, 0.4, 2.9}) {
-    const ParamBinding b{{"theta", v}};
-    const sv::StateVector ref = sv::FlatSimulator().simulate(c.bound(b));
-    const sv::StateVector fb = sv::FlatSimulator().simulate(fused.bound(b));
-    EXPECT_LT(ref.max_abs_diff(fb), 1e-12) << "theta=" << v;
-  }
 }
 
 TEST(ParamExpr, QaoaInstanceMatchesLegacyQaoa) {

@@ -132,6 +132,10 @@ TEST(Parser, ErrorsAreInformative) {
   EXPECT_THROW(parse("qreg q[2]; frobnicate q[0];"), Error);
   EXPECT_THROW(parse("qreg q[2]; rz() q[0];"), Error);
   EXPECT_THROW(parse("qreg q[2]; reset q[0];"), Error);
+  EXPECT_THROW(parse("OPENQASM 2.0; qreg q[2]; gate g(a) x { rz(a x; }"),
+               Error);
+  EXPECT_THROW(parse("qreg q[1]; gate g a { h a; g a; } g q[0];"), Error);
+  EXPECT_THROW(parse("qreg q[1]; gate h a { h a; } h q[0];"), Error);
   // Integers past `unsigned` are rejected before any narrowing: 2^32 must
   // not wrap to q[0], and a register of 2^32 + 2 qubits must not declare
   // 2. The Error names the literal.

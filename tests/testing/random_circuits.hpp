@@ -2,7 +2,8 @@
 
 // Shared seeded generators for the test suite: random circuits over the
 // full and QASM-safe gate alphabets, random normalized states, random
-// qubit subsets, and the up-to-global-phase state comparison the
+// dense unitaries, random qubit subsets, and the up-to-global-phase
+// state comparison the
 // optimization differential harness is built on. Everything is a pure
 // function of its seed, so any failure line reproduces exactly.
 
@@ -116,6 +117,33 @@ inline sv::StateVector random_state(unsigned n, std::uint64_t seed) {
   const double inv = 1.0 / std::sqrt(norm);
   for (Index i = 0; i < s.size(); ++i) s[i] *= inv;
   return s;
+}
+
+/// Dense k-qubit unitary (k >= 1) drawn from `rng`, for Gate::unitary
+/// blocks: two layers of random u3 rotations on every qubit, each
+/// followed by an rxx on every neighbouring pair, so that the block
+/// entangles all k qubits.
+inline Matrix random_unitary(unsigned k, Rng& rng) {
+  const auto u3 = [&rng] {
+    return Gate::u3(0, rng.uniform(0, 3), rng.uniform(0, 3),
+                    rng.uniform(0, 3))
+        .matrix();
+  };
+  const auto identity = [](unsigned qubits) {
+    return Matrix::identity(std::size_t{1} << qubits);
+  };
+  Matrix u = identity(k);
+  for (int layer = 0; layer < 2; ++layer) {
+    Matrix rotations = u3();
+    for (unsigned q = 1; q < k; ++q) rotations = rotations.kron(u3());
+    u = rotations * u;
+    for (unsigned q = 0; q + 1 < k; ++q)
+      u = identity(q)
+              .kron(Gate::rxx(0, 1, rng.uniform(0.3, 1.2)).matrix())
+              .kron(identity(k - q - 2)) *
+          u;
+  }
+  return u;
 }
 
 /// Random subset of distinct qubits in [0, n), at most `max_size` of them
