@@ -1,8 +1,9 @@
 // Table III: QAOA partitioning breakdown — parts, qubits, gates, and
-// per-part execution time for dagP/DFS/Nat. The paper ran each part's
-// computation on a single V100 with the HyQuas kernel; here each part's
-// inner computation runs on the CPU kernels (DESIGN.md substitution) — the
-// partition structure (part count, per-part qubits/gates) is exact.
+// execution time for dagP/DFS/Nat. The paper ran each part's computation
+// on a single V100 with the HyQuas kernel and timed each part; here the
+// hierarchical target runs the parts on the CPU kernels (DESIGN.md
+// substitution) and the time is the whole execute's — the partition
+// structure (part count, per-part qubits/gates) is exact.
 //
 // A second section *measures* the sweep-amortization claim instead of
 // asserting it: the same (γ, β) points run once by recompiling a concrete
@@ -14,7 +15,6 @@
 
 #include "bench_util.hpp"
 #include "common/timer.hpp"
-#include "sv/hierarchical.hpp"
 
 int main(int argc, char** argv) {
   using namespace hisim;
@@ -38,25 +38,22 @@ int main(int argc, char** argv) {
     opt.strategy = strategy;
     opt.seed = args.seed;
     const auto parts = partition::make_partition(dag, opt);
-    sv::StateVector state(n);
-    double total_ms = 0;
     std::size_t total_gates = 0;
     for (std::size_t i = 0; i < parts.num_parts(); ++i) {
       const auto& part = parts.parts[i];
-      Timer t;
-      sv::run_part(c, part.gates, part.qubits, state);
-      const double ms = t.millis();
-      total_ms += ms;
       total_gates += part.gates.size();
       bench::print_row({i == 0 ? partition::strategy_name(strategy) : "",
                         std::string("P").append(std::to_string(i)),
                         std::to_string(part.working_set()),
-                        std::to_string(part.gates.size()),
-                        bench::fmt(ms, 1)},
+                        std::to_string(part.gates.size()), ""},
                        {9, 5, 7, 7, 9});
     }
+    // The hierarchical target runs these parts (the same partitioning at
+    // the same limit); the engine times the whole execute.
+    const Result r = bench::run_hierarchical(args, c, limit, strategy);
     bench::print_row({"", "total", "", std::to_string(total_gates),
-                      bench::fmt(total_ms, 1)},
+                      bench::fmt(r.metrics.at("execute.wall_seconds") * 1e3,
+                                 1)},
                      {9, 5, 7, 7, 9});
     std::printf("\n");
   }

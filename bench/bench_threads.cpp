@@ -1,7 +1,8 @@
 // Single-node strong scaling over OpenMP-style worker threads (paper
 // Sec. V-A: HiSVSIM "exhibits a close-to-linear speedup in this strong
 // scaling case" for 2..128 threads). The kernels parallelize over
-// amplitude blocks via the internal pool; on a single-core host the table
+// amplitude blocks via the internal pool; each row runs the hierarchical
+// target through the engine. On a single-core host the table
 // degenerates to overhead measurement, on larger machines it shows the
 // paper's scaling.
 
@@ -11,8 +12,6 @@
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
-#include "common/timer.hpp"
-#include "sv/hierarchical.hpp"
 
 int main(int argc, char** argv) {
   using namespace hisim;
@@ -31,19 +30,12 @@ int main(int argc, char** argv) {
         e.meta.name != "qft" && e.meta.name != "qaoa")
       continue;
     const Circuit& c = e.circuit;
-    const dag::CircuitDag d(c);
-    partition::PartitionOptions opt;
-    opt.limit = c.num_qubits() - 3;
-    opt.seed = args.seed;
-    const auto parts = partition::make_partition(d, opt);
     std::vector<std::string> row = {e.meta.name};
     for (unsigned t : threads) {
       parallel::set_num_threads(t);
-      sv::StateVector state(c.num_qubits());
-      Timer timer;
-      for (const partition::Part& p : parts.parts)
-        sv::run_part(c, p.gates, p.qubits, state);
-      row.push_back(bench::fmt(timer.seconds(), 4));
+      const Result r = bench::run_hierarchical(
+          args, c, c.num_qubits() - 3, partition::Strategy::DagP);
+      row.push_back(bench::fmt(r.metrics.at("execute.wall_seconds"), 4));
     }
     bench::print_row(row, {10, 9, 9, 9, 9});
   }

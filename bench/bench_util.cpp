@@ -84,6 +84,17 @@ hisim::Result run_hisvsim(const Args& args, const Circuit& c, unsigned p,
   return finish(args, Engine::compile(c, opt).execute(report_only()));
 }
 
+hisim::Result run_hierarchical(const Args& args, const Circuit& c,
+                               unsigned limit, partition::Strategy strategy) {
+  Options opt;
+  opt.target = Target::Hierarchical;
+  opt.strategy = strategy;
+  opt.limit = limit;
+  opt.seed = args.seed;
+  opt.opt_level = 0;
+  return finish(args, Engine::compile(c, opt).execute(report_only()));
+}
+
 hisim::Result run_iqs(const Args& args, const Circuit& c, unsigned p) {
   Options opt;
   opt.target = Target::IqsBaseline;

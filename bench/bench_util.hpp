@@ -53,6 +53,12 @@ hisim::Result run_hisvsim(const Args& args, const Circuit& c, unsigned p,
                           dist::BackendKind backend =
                               dist::BackendKind::Serial);
 
+/// Compiles `c` exactly as given (opt level 0) for the hierarchical
+/// target at level-2 `limit` with `strategy` and executes the plan once,
+/// so its parts are make_partition's at that limit. Honors args.seed /
+/// args.json.
+hisim::Result run_hierarchical(const Args& args, const Circuit& c,
+                               unsigned limit, partition::Strategy strategy);
 /// Runs the IQS-style baseline target.
 hisim::Result run_iqs(const Args& args, const Circuit& c, unsigned p);
 

@@ -40,11 +40,11 @@ int main(int argc, char** argv) {
   }
 
   const Result r = Engine::compile(c, opt).execute();
-  std::printf("%zu parts, compile %.3f s, total %.3f s (gather %.3f, "
-              "apply %.3f, scatter %.3f)\n",
+  std::printf("%zu parts, compile %.3f s, total %.3f s (apply %.3f, "
+              "relayout %.3f)\n",
               r.parts, r.metrics.at("compile.total_seconds"),
-              r.total_seconds(), r.metrics.at("gather.seconds"),
-              r.metrics.at("apply.seconds"), r.metrics.at("scatter.seconds"));
+              r.total_seconds(), r.metrics.at("apply.seconds"),
+              r.metrics.at("relayout.seconds"));
 
   // Top-8 outcomes by probability.
   std::vector<std::pair<double, Index>> probs;

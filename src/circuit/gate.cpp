@@ -84,6 +84,21 @@ Matrix controlled_matrix(const Matrix& base, unsigned num_controls) {
   return m;
 }
 
+/// Operand count of every kind but MCX and Unitary, whose width the gate
+/// chooses (0 for those two).
+std::size_t fixed_arity(GateKind kind) {
+  switch (kind) {
+    case GateKind::MCX: case GateKind::Unitary: return 0;
+    case GateKind::CCX: case GateKind::CSWAP: return 3;
+    case GateKind::SWAP: case GateKind::RZZ: case GateKind::RXX: return 2;
+    default: {
+      Gate g;  // a controlled kind's controls, then its target
+      g.kind = kind;
+      return 1 + g.num_controls();
+    }
+  }
+}
+
 }  // namespace
 
 unsigned gate_param_count(GateKind kind) {
@@ -155,6 +170,14 @@ unsigned Gate::num_controls() const {
     case GateKind::MCX: return arity() - 1;
     default: return 0;
   }
+}
+
+std::span<const Qubit> Gate::moved_qubits() const {
+  if (is_diagonal()) return {};
+  // Controls come first; CSWAP's one control is not counted by
+  // num_controls().
+  const std::size_t first = kind == GateKind::CSWAP ? 1 : num_controls();
+  return std::span(qubits).subspan(first);
 }
 
 bool Gate::is_diagonal() const {
@@ -291,6 +314,11 @@ Gate Gate::make(GateKind kind, std::vector<Qubit> qs,
                 std::vector<ParamExpr> ps) {
   HISIM_CHECK_MSG(ps.size() == gate_param_count(kind),
                   "wrong parameter count for " << gate_name(kind));
+  const std::size_t width = fixed_arity(kind);
+  HISIM_CHECK_MSG(width == 0 || qs.size() == width,
+                  "wrong operand count for " << gate_name(kind) << ": expected "
+                                             << width << ", got "
+                                             << qs.size());
   std::set<Qubit> uniq(qs.begin(), qs.end());
   HISIM_CHECK_MSG(uniq.size() == qs.size(),
                   "duplicate qubit operands in " << gate_name(kind));

@@ -70,6 +70,14 @@ struct Gate {
   /// passes may call this on symbolic gates.
   bool is_diagonal() const;
 
+  /// The qubits the gate moves amplitudes along: none for a diagonal
+  /// gate, the target of a controlled gate, the swapped pair of SWAP and
+  /// CSWAP, every qubit of any other gate. The others (controls and the
+  /// qubits of diagonal gates) only select which amplitudes it touches
+  /// and by which phase, so a block of amplitudes that fixes them still
+  /// holds every amplitude the gate mixes.
+  std::span<const Qubit> moved_qubits() const;
+
   /// The full 2^k x 2^k unitary in the local-index convention above,
   /// materialized under `bound` (parameter values indexed by param id; see
   /// resolve_binding). Concrete gates ignore `bound`; symbolic gates throw
@@ -167,8 +175,10 @@ struct Gate {
   static Gate noise_slot(Qubit q, unsigned slot);
   /// The slot id of a NoiseSlot gate (throws for any other kind).
   unsigned noise_slot_id() const;
-
- private:
+  /// The one constructor behind every factory above: a `kind` gate on
+  /// `qs` with `ps`. Throws hisim::Error unless `qs` holds no qubit twice
+  /// and has the kind's operand count (any for MCX and Unitary, whose
+  /// factories check their own), and `ps` its parameter count.
   static Gate make(GateKind kind, std::vector<Qubit> qs,
                    std::vector<ParamExpr> ps);
 };

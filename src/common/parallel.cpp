@@ -174,8 +174,6 @@ void for_range(Index begin, Index end,
   pool_instance(width)->run(begin, end, grain, fn);
 }
 
-bool inline_only() { return tl_inline_depth > 0; }
-
 inline_scope::inline_scope() { ++tl_inline_depth; }
 inline_scope::~inline_scope() { --tl_inline_depth; }
 

@@ -113,10 +113,6 @@ void for_range(Index begin, Index end,
                const std::function<void(Index, Index)>& fn,
                Index grain = kDefaultGrain);
 
-/// True when every for_range this thread issues runs inline: inside a
-/// for_range region or under an inline_scope. Callers that size per-worker
-/// buffers by num_threads() use it to size for one worker instead.
-bool inline_only();
 
 /// RAII guard forcing every for_range issued by this thread to run inline
 /// for the guard's lifetime. Comm-backend worker threads hold one so their

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "sv/kernels.hpp"
 
 namespace hisim::dist {
 
@@ -96,6 +97,18 @@ void DistState::redistribute(const RankLayout& target, const NetworkModel& net,
                              CommStats& stats, CommBackend& backend) {
   if (auto handle = redistribute_async(target, net, stats, backend))
     handle->wait_all();
+}
+
+Index DistState::relayout(const RankLayout& target) {
+  HISIM_CHECK_MSG(layout_.shares_process_slots(target),
+                  "relayout target moves a process slot");
+  const unsigned l = layout_.local_qubits();
+  std::vector<Qubit> to(l);
+  for (unsigned s = 0; s < l; ++s) to[s] = target.slot_of(layout_.qubit_at(s));
+  Index moved = 0;
+  for (sv::StateVector& shard : ranks_) moved += sv::permute_qubits(shard, to);
+  layout_ = target;
+  return 2 * kAmpBytes * moved;
 }
 
 std::unique_ptr<ExchangeHandle> DistState::redistribute_async(

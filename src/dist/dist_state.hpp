@@ -101,6 +101,12 @@ class DistState {
   void redistribute(const RankLayout& target, const NetworkModel& net,
                     CommStats& stats, CommBackend& backend = serial_backend());
 
+  /// Moves to `target`, which must share the current layout's process
+  /// slots (RankLayout::shares_process_slots), by permuting every shard in
+  /// place (sv::permute_qubits), and adopts it. No exchange: nothing is
+  /// counted or charged. Returns the bytes read plus written.
+  Index relayout(const RankLayout& target);
+
   /// Asynchronous redistribute: starts the exchange on `backend` and
   /// returns its handle, or nullptr when the layout is unchanged (nothing
   /// to move, nothing charged). The state adopts `target` immediately, but

@@ -9,28 +9,48 @@
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "dag/circuit_dag.hpp"
-#include "sv/hierarchical.hpp"
 #include "sv/kernels.hpp"
 
 namespace hisim::dist {
 namespace {
 
-/// `qubits` (strictly ascending) plus the lowest slots it lacks, until it
-/// holds `width` slots; strictly ascending.
-std::vector<Qubit> pad_slots(std::span<const Qubit> qubits, unsigned width) {
-  std::vector<Qubit> out(qubits.begin(), qubits.end());
-  for (Qubit s = 0; out.size() < width; ++s)
-    if (!std::binary_search(qubits.begin(), qubits.end(), s)) out.push_back(s);
-  std::sort(out.begin(), out.end());
+/// The step that applies `gates` of `c` under `layout`.
+DistPlan::Step make_step(const Circuit& c, std::span<const std::size_t> gates,
+                         RankLayout layout) {
+  DistPlan::Step step;
+  Circuit local(layout.local_qubits());
+  for (const std::string& pn : c.param_names()) local.param(pn);
+  for (std::size_t gi : gates) {
+    Gate g = c.gate(gi);
+    for (Qubit& q : g.qubits) q = static_cast<Qubit>(layout.slot_of(q));
+    step.parametric = step.parametric || g.is_parametric();
+    if (g.kind == GateKind::NoiseSlot)
+      step.noise_slots.emplace_back(local.num_gates(), g.noise_slot_id());
+    local.add(std::move(g));
+  }
+  step.local = std::move(local);
+  step.layout = std::move(layout);
+  return step;
+}
+
+/// The qubits `gates` of `c` move amplitudes along, at most `slots` of
+/// them: those `layout` already holds below `slots` first, then the others
+/// in ascending order.
+std::vector<Qubit> moved_qubits(const Circuit& c,
+                                std::span<const std::size_t> gates,
+                                const RankLayout& layout, unsigned slots) {
+  std::vector<bool> moved(c.num_qubits(), false);
+  for (std::size_t gi : gates)
+    for (Qubit q : c.gate(gi).moved_qubits()) moved[q] = true;
+  std::vector<Qubit> out;
+  for (bool in_place : {true, false})
+    for (Qubit q = 0; q < c.num_qubits() && out.size() < slots; ++q)
+      if (moved[q] && (layout.slot_of(q) < slots) == in_place)
+        out.push_back(q);
   return out;
 }
 
 }  // namespace
-
-unsigned pad_width(const DistPlan& plan) {
-  return std::min({plan.level2_limit, plan.num_qubits - plan.process_qubits,
-                   sv::kCacheQubits});
-}
 
 DistPlan compile_plan(Circuit c, const DistOptions& opt) {
   const unsigned n = c.num_qubits();
@@ -83,45 +103,37 @@ DistPlan compile_plan(Circuit c, const DistOptions& opt) {
 
   // Walk the layout chain once: each part's target layout depends only on
   // the previous part's, so the whole exchange schedule — and the gate
-  // remapping it implies — is known before any amplitude exists.
+  // remapping it implies — is known before any amplitude exists. The
+  // level-1 chain alone decides the process slots, so a second level
+  // changes no exchange.
   trace::TraceSpan schedule_span("schedule.build", "dist");
-  const RankLayout identity = RankLayout::identity(n, p);
-  const RankLayout* prev = &identity;
+  const unsigned block = std::min(sv::kCacheQubits, l);
+  RankLayout level1 = RankLayout::identity(n, p);
   for (const partition::Part& part : parts.parts) {
-    DistPlan::Step step;
-    step.layout = RankLayout::for_part(n, p, part.qubits, *prev);
-
-    Circuit local(l);
-    for (const std::string& pn : plan.circuit.param_names()) local.param(pn);
-    for (std::size_t gi : part.gates) {
-      Gate g = plan.circuit.gate(gi);
-      for (Qubit& q : g.qubits)
-        q = static_cast<Qubit>(step.layout.slot_of(q));
-      step.parametric = step.parametric || g.is_parametric();
-      if (g.kind == GateKind::NoiseSlot)
-        step.noise_slots.emplace_back(local.num_gates(), g.noise_slot_id());
-      local.add(std::move(g));
+    level1 = RankLayout::for_part(part.qubits, level1, l);
+    DistPlan::Step whole = make_step(plan.circuit, part.gates, level1);
+    ++plan.parts;
+    if (opt.level2_limit == 0) {
+      plan.steps.push_back(std::move(whole));
+      continue;
     }
-    step.local = std::move(local);
-
-    if (opt.level2_limit > 0) {
-      // Second level: partition the part's slot-local sub-circuit with the
-      // cache-sized limit. Booked as partition time, not compute.
-      partition::PartitionOptions po2 = po;
-      po2.limit = std::min(opt.level2_limit, l);
-      const dag::CircuitDag sdag(step.local);
-      step.inner = partition::make_partition(sdag, po2);
-      // A narrow part pads to the cache limit: fewer cosets, longer runs
-      // per copy and fewer kernel calls per amplitude, with the same
-      // arithmetic on every amplitude.
-      for (const partition::Part& ip : step.inner.parts)
-        step.padded.push_back(pad_slots(ip.qubits, pad_width(plan)));
-      plan.inner_parts += step.inner.num_parts();
-      plan.partition_seconds += step.inner.partition_seconds;
+    // Second level: partition the part's slot-local sub-circuit with the
+    // cache-sized limit. Booked as partition time, not compute.
+    partition::PartitionOptions po2 = po;
+    po2.limit = std::min(opt.level2_limit, l);
+    const partition::Partitioning inner =
+        partition::make_partition(dag::CircuitDag(whole.local), po2);
+    plan.inner_parts += inner.num_parts();
+    plan.partition_seconds += inner.partition_seconds;
+    const RankLayout* prev = &level1;
+    for (const partition::Part& ip : inner.parts) {
+      std::vector<std::size_t> gates;
+      for (std::size_t j : ip.gates) gates.push_back(part.gates[j]);
+      RankLayout layout = RankLayout::for_part(
+          moved_qubits(plan.circuit, gates, *prev, block), *prev, block);
+      plan.steps.push_back(make_step(plan.circuit, gates, std::move(layout)));
+      prev = &plan.steps.back().layout;
     }
-
-    plan.steps.push_back(std::move(step));
-    prev = &plan.steps.back().layout;
   }
   return plan;
 }
@@ -157,17 +169,13 @@ void execute_plan(const DistPlan& plan, DistState& state,
       kernels != nullptr ? *kernels : sv::kernel_ops();
   const unsigned n = plan.num_qubits;
   const unsigned p = plan.process_qubits;
+  const RankLayout identity = RankLayout::identity(n, p);
   HISIM_CHECK_MSG(state.num_qubits() == n && state.num_ranks() == (1u << p),
                   "state shape does not match plan");
-  HISIM_CHECK_MSG(state.layout() == RankLayout::identity(n, p),
+  HISIM_CHECK_MSG(state.layout() == identity,
                   "state layout is not the identity the plan starts from");
   const unsigned v = state.num_ranks();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
-  // One rank never exchanges. It reports like Alg. 1 on one node instead:
-  // the level-2 parts add run_part's keys, and the steps without them add
-  // their apply window to apply.seconds.
-  std::map<std::string, double>* part_metrics = v == 1 ? metrics : nullptr;
-  double direct_apply = 0.0;
 
   // Every per-step measurement is recorded into this run-local registry
   // (local so concurrent executes on separate states cannot
@@ -188,18 +196,29 @@ void execute_plan(const DistPlan& plan, DistState& state,
   // Sec. V-C pipelined estimate: step i's apply hides behind step i+1's
   // exchange, so each step adds max(previous apply, own comm).
   double pipelined = 0.0, prev_comp = 0.0;
+  double apply_seconds = 0.0, relayout_seconds = 0.0, relayout_bytes = 0.0;
+  // Moves every shard in place to `layout`, which keeps the process slots.
+  const auto relayout = [&](const RankLayout& layout) {
+    trace::TraceSpan span("relayout", "dist");
+    Timer t;
+    relayout_bytes += static_cast<double>(state.relayout(layout));
+    relayout_seconds += t.seconds();
+  };
 
   std::int64_t step_index = 0;
   for (const DistPlan::Step& step : plan.steps) {
     trace::TraceSpan step_span("step", "dist");
     step_span.arg("index", step_index++);
-    // (1) Relayout: one collective exchange at most, none if the part's
-    // qubits are already local. The exchange is started asynchronously;
-    // each rank below waits only for its own shard before applying.
+    // (1) Move amplitudes to the step's layout: in place when only local
+    // slots change, else by one collective exchange, started
+    // asynchronously; each rank below waits only for its own shard.
     Timer wall;
     CommStats step_comm;
-    const std::unique_ptr<ExchangeHandle> handle =
-        state.redistribute_async(step.layout, net, step_comm, backend);
+    std::unique_ptr<ExchangeHandle> handle;
+    if (!state.layout().shares_process_slots(step.layout))
+      handle = state.redistribute_async(step.layout, net, step_comm, backend);
+    else if (!(state.layout() == step.layout))
+      relayout(step.layout);
     const double part_comm = step_comm.modeled_max_seconds;
     // The comm window on the part clock: movement started (at most) here
     // and finishes handle->finished_after() later (0 for a synchronous
@@ -229,16 +248,7 @@ void execute_plan(const DistPlan& plan, DistState& state,
             trace::TraceSpan apply_span("apply", "dist");
             apply_span.arg("rank", rank);
             const double t0 = wall.seconds();
-            if (step.inner.num_parts() == 0) {
-              sv::apply_gates(state.local(rank), local.gates(), kops);
-            } else {
-              // With more than one rank, level-2 parts record nothing: the
-              // step's apply window is the rank's measurement.
-              for (std::size_t i = 0; i < step.inner.parts.size(); ++i)
-                sv::run_part(local, step.inner.parts[i].gates,
-                             step.padded[i], state.local(rank), part_metrics,
-                             &kops);
-            }
+            sv::apply_gates(state.local(rank), local.gates(), kops);
             const double t1 = wall.seconds();
             MutexLock lk(comp_mu);
             if (comp_begin < 0.0 || t0 < comp_begin) comp_begin = t0;
@@ -248,12 +258,10 @@ void execute_plan(const DistPlan& plan, DistState& state,
         /*grain=*/1);
 
     const double part_comp = comp_begin < 0.0 ? 0.0 : comp_end - comp_begin;
-    if (step.inner.num_parts() == 0) direct_apply += part_comp;
+    apply_seconds += part_comp;
     if (handle) {
       trace::TraceSpan wait_span("exchange.wait_all", "dist");
       handle->wait_all();
-    }
-    if (handle) {
       d_comm.record(handle->seconds());
       // Overlap = intersection of the comm window [comm_begin, comm_end]
       // and the compute window [comp_begin, comp_end] on the part clock.
@@ -281,15 +289,22 @@ void execute_plan(const DistPlan& plan, DistState& state,
     }
   }
   pipelined += prev_comp;
+  // One rank's shard becomes the state, so it returns to the identity.
+  if (v == 1 && !(state.layout() == identity)) relayout(identity);
 
   if (metrics == nullptr) return;
+  std::map<std::string, double>& m = *metrics;
+  if (plan.level2_limit > 0) {
+    m["relayout.seconds"] = relayout_seconds;
+    m["relayout.bytes"] = relayout_bytes;
+  }
   if (v == 1) {
-    (*metrics)["apply.seconds"] += direct_apply;
+    m["apply.seconds"] = apply_seconds;
     return;
   }
-  for (const auto& [key, value] : reg.flat()) (*metrics)[key] = value;
-  (*metrics)["exchange.modeled_avg_seconds"] = modeled_avg;
-  (*metrics)["step.pipelined_seconds"] = pipelined;
+  for (const auto& [key, value] : reg.flat()) m[key] = value;
+  m["exchange.modeled_avg_seconds"] = modeled_avg;
+  m["step.pipelined_seconds"] = pipelined;
 }
 
 }  // namespace hisim::dist

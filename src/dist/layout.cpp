@@ -37,40 +37,44 @@ RankLayout RankLayout::identity(unsigned num_qubits, unsigned process_qubits) {
   return RankLayout(num_qubits, process_qubits, std::move(slots));
 }
 
-RankLayout RankLayout::for_part(unsigned num_qubits, unsigned process_qubits,
-                                const std::vector<Qubit>& part,
-                                const RankLayout& prev) {
-  HISIM_CHECK(prev.num_qubits() == num_qubits &&
-              prev.process_qubits() == process_qubits);
-  const unsigned l = num_qubits - process_qubits;
-  HISIM_CHECK_MSG(part.size() <= l,
-                  "part has " << part.size() << " qubits but only " << l
+RankLayout RankLayout::for_part(const std::vector<Qubit>& part,
+                                const RankLayout& prev, unsigned slots) {
+  const unsigned n = prev.num_qubits();
+  HISIM_CHECK_MSG(slots <= prev.local_qubits(),
+                  slots << " slots exceed the " << prev.local_qubits()
+                        << " local ones");
+  HISIM_CHECK_MSG(part.size() <= slots,
+                  "part has " << part.size() << " qubits but only " << slots
                               << " local slots");
-  std::vector<bool> in_part(num_qubits, false);
+  std::vector<bool> in_part(n, false);
   for (Qubit q : part) {
-    HISIM_CHECK_MSG(q < num_qubits, "part qubit " << q << " out of range");
+    HISIM_CHECK_MSG(q < n, "part qubit " << q << " out of range");
     HISIM_CHECK_MSG(!in_part[q], "duplicate part qubit " << q);
     in_part[q] = true;
   }
 
   std::vector<Qubit> slot_of = prev.slot_of_;
   std::vector<Qubit> qubit_at = prev.qubit_at_;
-  // Each part qubit stranded on a process slot swaps with the
-  // highest-slot local qubit outside the part, so stable qubits (and in
-  // particular already-local part qubits) never move.
+  unsigned victim = slots;
   for (Qubit q : part) {
-    if (slot_of[q] < l) continue;
-    unsigned victim = l;
-    while (victim > 0 && in_part[qubit_at[victim - 1]]) --victim;
-    HISIM_CHECK_MSG(victim > 0, "no local slot available for qubit " << q);
-    --victim;
+    if (slot_of[q] < slots) continue;
+    // The part has at most `slots` qubits, so a free slot remains.
+    do --victim;
+    while (in_part[qubit_at[victim]]);
     const unsigned from = slot_of[q];
     const Qubit out = qubit_at[victim];
     std::swap(slot_of[q], slot_of[out]);
     qubit_at[victim] = q;
     qubit_at[from] = out;
   }
-  return RankLayout(num_qubits, process_qubits, std::move(slot_of));
+  return RankLayout(n, prev.process_qubits(), std::move(slot_of));
+}
+
+bool RankLayout::shares_process_slots(const RankLayout& o) const {
+  if (n_ != o.n_ || p_ != o.p_) return false;
+  for (unsigned s = local_qubits(); s < n_; ++s)
+    if (qubit_at_[s] != o.qubit_at_[s]) return false;
+  return true;
 }
 
 unsigned RankLayout::run_bits() const {

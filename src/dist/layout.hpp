@@ -54,16 +54,14 @@ class RankLayout {
   /// keep for a whole run.
   static RankLayout identity(unsigned num_qubits, unsigned process_qubits);
 
-  /// Layout for executing one circuit part: every qubit in `part` becomes
-  /// local, and qubits that do not have to move keep their `prev` slots
-  /// (minimal-movement heuristic — each displaced process qubit swaps
-  /// slots with the highest-slot local qubit outside the part). Returns a
-  /// layout equal to `prev` when the part is already fully local, which
-  /// lets the executor skip the exchange entirely. Throws if `part` has
-  /// more than n - p qubits or invalid/duplicate entries.
-  static RankLayout for_part(unsigned num_qubits, unsigned process_qubits,
-                             const std::vector<Qubit>& part,
-                             const RankLayout& prev);
+  /// `prev` with every qubit of `part` on a slot below `slots` (n - p: a
+  /// part made local; the cache block's width: its moved qubits in every
+  /// block). Each part qubit at or above `slots` swaps with the qubit on
+  /// the highest slot below `slots` outside the part; low slots move last,
+  /// so runs stay long. Throws if `part` has more than `slots` qubits or
+  /// invalid/duplicate entries, or if `slots` exceeds n - p.
+  static RankLayout for_part(const std::vector<Qubit>& part,
+                             const RankLayout& prev, unsigned slots);
 
   unsigned num_qubits() const { return n_; }
   unsigned process_qubits() const { return p_; }
@@ -87,6 +85,10 @@ class RankLayout {
   /// Inverse of global_index: which rank holds global amplitude g, and at
   /// which local offset.
   std::pair<unsigned, Index> locate(Index global) const;
+
+  /// True iff `o` has this layout's shape and the same qubit on every
+  /// process slot: moving between the two stays inside each shard.
+  bool shares_process_slots(const RankLayout& o) const;
 
   bool operator==(const RankLayout& o) const {
     return n_ == o.n_ && p_ == o.p_ && slot_of_ == o.slot_of_;

@@ -5,11 +5,9 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "dag/circuit_dag.hpp"
 #include "dist/hisvsim_dist.hpp"
-#include "partition/partition.hpp"
 
-/// Deep validation of a compiled DistPlan — the exchange-schedule half of
+/// Deep validation of a compiled DistPlan — the schedule half of
 /// the checked-build layer (common/check.hpp). Everything here re-derives
 /// the plan's invariants from first principles rather than replaying the
 /// code that built it, so a bug in compile_plan and a bug in the validator
@@ -143,34 +141,27 @@ void check_step_noise_slots(const DistPlan::Step& s, std::size_t si) {
                           << " table entries");
 }
 
-/// One padded slot list per inner part: strictly ascending local slots
-/// that hold the part's working set, `pad` wide unless the working set is
-/// wider.
-void check_padded_slots(const DistPlan::Step& s, std::size_t si, unsigned l,
-                        unsigned pad) {
-  HISIM_INVARIANT(s.padded.size() == s.inner.parts.size(),
-                  "step " << si << " has " << s.padded.size()
-                          << " padded slot lists for " << s.inner.parts.size()
-                          << " inner parts");
-  for (std::size_t i = 0; i < s.padded.size(); ++i) {
-    const std::vector<Qubit>& slots = s.padded[i];
-    const std::vector<Qubit>& ws = s.inner.parts[i].qubits;
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      HISIM_INVARIANT(j == 0 || slots[j - 1] < slots[j],
-                      "step " << si << " inner part " << i
-                              << " padded slots are not strictly ascending");
-      HISIM_INVARIANT(slots[j] < l, "step " << si << " inner part " << i
-                                            << " pads with non-local slot "
-                                            << slots[j]);
+/// The gates touching each qubit, unmapped from the steps in step order,
+/// must be the plan circuit's gates touching that qubit in circuit order:
+/// a schedule may reorder only gates that share no qubit, which is what an
+/// acyclic partitioning guarantees at either level.
+void check_qubit_order(const DistPlan& plan) {
+  std::vector<std::vector<const Gate*>> expect(plan.num_qubits);
+  for (const Gate& g : plan.circuit.gates())
+    for (Qubit q : g.qubits) expect[q].push_back(&g);
+  std::vector<std::size_t> next(plan.num_qubits, 0);
+  for (std::size_t si = 0; si < plan.steps.size(); ++si) {
+    const DistPlan::Step& s = plan.steps[si];
+    for (const Gate& lg : s.local.gates()) {
+      Gate g = lg;
+      for (Qubit& q : g.qubits) q = s.layout.qubit_at(q);
+      for (Qubit q : g.qubits) {
+        const std::size_t k = next[q]++;
+        HISIM_INVARIANT(k < expect[q].size() && *expect[q][k] == g,
+                        "step " << si << " applies '" << g.to_string()
+                                << "' out of circuit order on qubit " << q);
+      }
     }
-    HISIM_INVARIANT(std::includes(slots.begin(), slots.end(), ws.begin(),
-                                  ws.end()),
-                    "step " << si << " inner part " << i
-                            << " padded slots miss part of its working set");
-    const std::size_t width = std::max<std::size_t>(ws.size(), pad);
-    HISIM_INVARIANT(slots.size() == width,
-                    "step " << si << " inner part " << i << " is padded to "
-                            << slots.size() << " slots, expected " << width);
   }
 }
 
@@ -205,20 +196,10 @@ void validate_plan(const DistPlan& plan) {
         HISIM_INVARIANT(q < l, "step " << si << " gate '" << g.to_string()
                                        << "' touches non-local slot " << q);
     check_step_noise_slots(s, si);
-
-    if (!s.inner.parts.empty()) {
-      const dag::CircuitDag sdag(s.local);
-      try {
-        partition::validate(sdag, s.inner);
-      } catch (const Error& e) {
-        HISIM_INVARIANT(false, "step " << si << " inner partitioning invalid: "
-                                       << e.what());
-      }
-    }
-    check_padded_slots(s, si, l, pad_width(plan));
   }
 
   check_gate_cover(plan);
+  check_qubit_order(plan);
 }
 
 }  // namespace hisim::dist

@@ -218,8 +218,7 @@ double Result::total_seconds() const {
   };
   if (ranks > 0)
     return get("apply.seconds.sum") + get("exchange.modeled_seconds.sum");
-  return get("gather.seconds") + get("apply.seconds") +
-         get("scatter.seconds");
+  return get("apply.seconds") + get("relayout.seconds");
 }
 
 std::vector<std::pair<double, Index>> Result::top_counts(
@@ -293,8 +292,8 @@ const Circuit& ExecutionPlan::circuit() const {
   HISIM_CHECK_MSG(impl_, "empty ExecutionPlan");
   return impl_->dplan.circuit;
 }
-// On one rank (p = 0) the level-1 step is the whole circuit, so the parts
-// are its level-2 parts when level 2 ran (Alg. 1), else that one step, and
+// On one rank (p = 0) the level-1 part is the whole circuit, so the parts
+// are its level-2 parts when level 2 ran (Alg. 1), else that one part, and
 // no part is inner. iqs-baseline applies gate by gate and reports 0.
 std::size_t ExecutionPlan::num_parts() const {
   if (target() == Target::IqsBaseline) return 0;

@@ -48,8 +48,8 @@ enum class Target {
   /// (p = 0, level 1 = n, no level 2): one part holding every gate,
   /// applied to the full vector.
   Flat,
-  /// (p = 0, level 1 = n, level 2 = Options::limit): gather-execute-scatter
-  /// over the level-2 parts (Alg. 1).
+  /// (p = 0, level 1 = n, level 2 = Options::limit): the level-2 parts of
+  /// Alg. 1, each run block by block after an in-place relayout.
   Hierarchical,
   /// Per-part redistribution executor with the synchronous exchange
   /// backend (reference; deterministic timing).
@@ -80,18 +80,20 @@ struct Options {
   Target target = Target::Hierarchical;
   partition::Strategy strategy = partition::Strategy::DagP;
   /// Working-set limit Lm. 0 = auto: the local qubit count (n - p) when
-  /// distributed, otherwise the cache limit sv::kCacheQubits (16 qubits,
-  /// a 1 MiB inner vector). Capped at the circuit width. Flat and
-  /// iqs-baseline ignore it; on hierarchical it is the level-2 limit of
-  /// the one-rank plan, whose level 1 holds the whole circuit, and parts
-  /// narrower than min(limit, sv::kCacheQubits) are padded up to it.
+  /// distributed, otherwise the cache limit sv::kCacheQubits (16 qubits).
+  /// Capped at the circuit width. Flat and iqs-baseline ignore it; on
+  /// hierarchical it is the level-2 limit of the one-rank plan, whose
+  /// level 1 holds the whole circuit. It bounds a part's working set; the
+  /// block its moved qubits are relayouted into stays sv::kCacheQubits
+  /// wide (1 MiB) at any limit, and a part that moves more qubits than
+  /// that runs its other gates over the whole state.
   unsigned limit = 0;
   /// Second-level (cache) limit of the distributed-serial/-threaded
   /// targets: each part is re-partitioned at this limit and runs its
-  /// inner parts shard-locally (paper Sec. IV), padded like hierarchical
-  /// parts. 0 = auto: sv::kCacheQubits. A value >= n - p (a level as
-  /// wide as a shard) turns level 2 off. Nonzero on any other target
-  /// throws at compile.
+  /// inner parts shard-locally (paper Sec. IV), relayouted like
+  /// hierarchical parts. 0 = auto: sv::kCacheQubits. A value >= n - p
+  /// (a level as wide as a shard) turns level 2 off. Nonzero on any other
+  /// target throws at compile.
   unsigned level2_limit = 0;
   /// Number of process ("rank") qubits; 2^p simulated ranks. Required
   /// (> 0) for the distributed targets, ignored otherwise.
@@ -198,7 +200,7 @@ struct Result {
 
   /// Modeled serial total read from `metrics`: apply.seconds.sum +
   /// exchange.modeled_seconds.sum on the sharded targets (compute plus
-  /// slowest-host comm), gather + apply + scatter seconds otherwise.
+  /// slowest-host comm), apply + relayout seconds otherwise.
   double total_seconds() const;
   /// The k most frequent shot outcomes, count-descending — the one
   /// definition shared by to_json() and the CLI's text report.

@@ -399,17 +399,15 @@ class Parser {
     const auto it = builtin_gates().find(name);
     if (it == builtin_gates().end())
       throw Error("QASM: unknown gate '" + name + "'");
-    Gate g;
-    g.kind = it->second;
-    g.qubits = qs;
     // u/U with 3 params is u3; u1-style single param accepted for "p".
-    const std::vector<double>& ps = params;
-    HISIM_CHECK_MSG(ps.size() == gate_param_count(g.kind),
+    HISIM_CHECK_MSG(params.size() == gate_param_count(it->second),
                     "gate " << name << " expects "
-                            << gate_param_count(g.kind) << " params, got "
-                            << ps.size());
-    g.params.assign(ps.begin(), ps.end());
-    circuit_.add(std::move(g));
+                            << gate_param_count(it->second) << " params, got "
+                            << params.size());
+    // make() rejects a wrong operand count and a repeated operand.
+    circuit_.add(Gate::make(it->second, qs,
+                            std::vector<ParamExpr>(params.begin(),
+                                                   params.end())));
   }
 
   std::vector<Token> toks_;

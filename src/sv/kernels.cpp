@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -148,19 +149,9 @@ void add_controls(BlockGate& r, std::span<const Qubit> controls, unsigned w) {
   }
 }
 
-/// True when every qubit `g` moves amplitudes along is below w: controls
-/// and the qubits of diagonal gates may lie anywhere.
-bool moves_below(const Gate& g, unsigned w) {
-  if (g.is_diagonal()) return true;
-  // Controls come first; CSWAP's one control is not counted by
-  // num_controls().
-  const std::size_t first = g.kind == GateKind::CSWAP ? 1 : g.num_controls();
-  return std::all_of(g.qubits.begin() + static_cast<std::ptrdiff_t>(first),
-                     g.qubits.end(), [w](Qubit q) { return q < w; });
-}
-
-/// Fills in `r` for `g` on blocks of 2^w amplitudes (moves_below(g, w)
-/// must hold), `bits` still unsorted, and returns the kernel to call.
+/// Fills in `r` for `g` on blocks of 2^w amplitudes (every moved qubit
+/// of `g` must be below w), `bits` still unsorted, and returns the kernel
+/// to call.
 BlockGate::Kernel fill(BlockGate& r, const Gate& g, unsigned w) {
   const std::vector<Qubit>& qs = g.qubits;
   const std::size_t k = qs.size();
@@ -325,6 +316,43 @@ BlockGate resolve_zz(std::span<const Gate> gates, std::size_t i) {
   return r;
 }
 
+// ---- relayout --------------------------------------------------------------
+
+/// One in-place pass of an involution of index bits: bit s of every index
+/// goes to bit inv[s] (inv[inv[s]] == s), so amplitudes i and inv(i)
+/// trade places. Bits below the lowest one inv moves pass through, so the
+/// trades move runs of 2^r contiguous amplitudes, the run with the lower
+/// index moving both. Returns the number of amplitudes moved.
+Index swap_bit_pairs(std::span<cplx> s, std::span<const Qubit> inv) {
+  // The pairs (b, inv[b]), b < inv[b], as masks of both bits, the pair of
+  // the lowest moved bit r last.
+  std::array<Index, 32> pairs{};
+  std::size_t k = 0;
+  for (Qubit b = static_cast<Qubit>(inv.size()); b-- > 0;)
+    if (inv[b] > b) pairs[k++] = (Index{1} << b) | (Index{1} << inv[b]);
+  if (k == 0) return 0;
+  const unsigned r = static_cast<unsigned>(std::countr_zero(pairs[k - 1]));
+  const Index len = Index{1} << r;
+  cplx* a = s.data();
+  parallel::for_range(
+      0, s.size() >> r,
+      [&](Index lo, Index hi) {
+        for (Index m = lo; m < hi; ++m) {
+          const Index i = m << r;
+          Index j = i;
+          for (std::size_t t = 0; t < k; ++t) {
+            const Index bits = i & pairs[t];
+            if (bits != 0 && bits != pairs[t]) j ^= pairs[t];
+          }
+          if (i < j)
+            for (Index x = 0; x < len; ++x) swap_amp(a + i + x, a + j + x);
+        }
+      },
+      std::max(Index{1}, parallel::kDefaultGrain >> r));
+  // An index stays where every pair holds equal bits.
+  return s.size() - (s.size() >> k);
+}
+
 void check_operands(const Gate& g, unsigned n, const KernelOps& ops) {
   HISIM_CHECK(g.arity() <= 64);
   for (Qubit q : g.qubits) HISIM_CHECK(q < n);
@@ -355,7 +383,11 @@ void apply_gates(StateVector& state, std::span<const Gate> gates,
   // block-local gate, 0 when the gate at i is not block-local.
   const auto item = [&](std::size_t i) -> std::size_t {
     if (is_zz_triple(gates, i)) return 3;
-    return i < gates.size() && moves_below(gates[i], w) ? 1 : 0;
+    return i < gates.size() &&
+                   std::ranges::all_of(gates[i].moved_qubits(),
+                                       [](Qubit q) { return q < w; })
+               ? 1
+               : 0;
   };
   std::vector<BlockGate> run;
   std::size_t i = 0;
@@ -389,6 +421,32 @@ void apply_gates(StateVector& state, std::span<const Gate> gates,
         /*grain=*/1);
     i = end;
   }
+}
+
+Index permute_qubits(StateVector& state, std::span<const Qubit> to) {
+  const unsigned n = state.num_qubits();
+  HISIM_CHECK(to.size() == n);
+  // Each cycle c_0 -> c_1 -> ... -> c_{m-1} of `to` (c_{i+1} = to[c_i],
+  // indices mod m) is the reflection c_i -> c_{-i} followed by the
+  // reflection c_i -> c_{1-i}; a 2-cycle needs only the second.
+  std::vector<Qubit> first(n), second(n), cycle;
+  std::vector<bool> seen(n, false);
+  for (Qubit s = 0; s < n; ++s) {
+    if (seen[s]) continue;
+    cycle.clear();
+    for (Qubit c = s; cycle.empty() || c != s; c = to[c]) {
+      HISIM_CHECK_MSG(c < n && !seen[c], "slot map is not a permutation");
+      seen[c] = true;
+      cycle.push_back(c);
+    }
+    const std::size_t m = cycle.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      first[cycle[i]] = cycle[(m - i) % m];
+      second[cycle[i]] = cycle[(m + 1 - i) % m];
+    }
+  }
+  const std::span<cplx> s(state.data(), state.size());
+  return swap_bit_pairs(s, first) + swap_bit_pairs(s, second);
 }
 
 double gate_flops(const Gate& gate, unsigned num_qubits) {

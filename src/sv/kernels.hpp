@@ -52,6 +52,15 @@ void apply_gate(StateVector& state, const Gate& gate,
 void apply_gates(StateVector& state, std::span<const Gate> gates,
                  const KernelOps& ops = kernel_ops());
 
+/// Moves the amplitude at every index i to the index whose bit to[q] is
+/// bit q of i, in place: the relayout that puts slot q's qubit on slot
+/// to[q]. `to` must be a permutation of [0, n). At most two passes, each
+/// an involution that swaps runs of 2^r amplitudes (r the lowest slot it
+/// moves) over the pool, inline inside a pool region; a product of
+/// disjoint slot swaps takes one. Returns the amplitudes moved, summed
+/// over the passes (each read and written once per pass).
+Index permute_qubits(StateVector& state, std::span<const Qubit> to);
+
 /// Counts the floating-point work of one gate application on an n-qubit
 /// state, matching what the kernels above actually execute:
 ///  * permutation kinds (X/CX/CCX/MCX/SWAP/CSWAP) move amplitudes without

@@ -10,17 +10,17 @@
 // kernels_scalar.inl (see the contract comment there). The same bodies
 // are instantiated in this TU (namespace avx2_fb) and used verbatim for
 // what vectors cannot reach: single-amplitude runs and remainders, and
-// the general-diagonal and 4x4 kernels at gate bit 0.
+// the 4x4 kernel at gate bit 0.
 //
 // Position independence: the cost per amplitude should not depend much
-// on which qubits a gate touches, since the hierarchical executor puts
-// every part's lowest qubits on the inner vector's qubits 0-3. Dense and
-// diagonal 1q gates on qubits 1-3 walk whole 2^(q+1)-amplitude blocks
-// (for_each_block). The controlled kernels, and 1q gates on qubits >= 4
-// as controlled gates without controls, step from run to run with
-// avx2_fb::for_each_run at every lowest gate bit. At bit 0, where runs are
-// single amplitudes, the controlled diagonal instead walks runs of
-// two-amplitude vectors and scales them per lane (ctrl_diag_bit0).
+// on which qubits a gate touches, since a step's gates may sit on any
+// slot, the lowest included. Dense and diagonal 1q gates on qubits 1-3
+// walk whole 2^(q+1)-amplitude blocks (for_each_block). The controlled
+// kernels, and 1q gates on qubits >= 4 as controlled gates without
+// controls, step from run to run with avx2_fb::for_each_run at every
+// lowest gate bit. At bit 0, where runs are single amplitudes, the
+// controlled and the general diagonal instead walk runs of two-amplitude
+// vectors and scale them per lane (ctrl_diag_bit0, diag_bit0).
 
 #include "sv/kernel_dispatch.hpp"
 
@@ -357,11 +357,45 @@ void a2_apply_ctrl_diag(std::span<cplx> s,
 
 // ---- general diagonal ------------------------------------------------------
 
+/// a2_apply_diag with qubit 0 = qs[j0] among its qubits. A vector
+/// (a[2p], a[2p+1]) holds both values of bit 0, and the other qubits fix
+/// the code over runs of pair indices up to the next-lowest of them, so
+/// each run scales whole vectors by two lane phases, blending back a lane
+/// whose phase is exactly 1 (as ctrl_diag_bit0 does).
+void diag_bit0(std::span<cplx> s, std::span<const Qubit> qs,
+               std::span<const cplx> phases, std::size_t j0) {
+  const unsigned k = static_cast<unsigned>(qs.size());
+  Index run = s.size() >> 1;  // pairs per run: all of them when k = 1
+  for (unsigned j = 0; j < k; ++j)
+    if (j != j0) run = std::min(run, Index{1} << (qs[j] - 1));
+  double* a = amp(s.data(), 0);
+  parallel::for_range(0, s.size() >> 1, [&](Index lo, Index hi) {
+    Index p = lo;
+    while (p < hi) {
+      const Index end = std::min(hi, (p | (run - 1)) + 1);
+      Index code = 0;
+      for (unsigned j = 0; j < k; ++j)
+        if (j != j0) code |= static_cast<Index>(bits::test(p << 1, qs[j])) << j;
+      const cplx d0 = phases[code], d1 = phases[code | (Index{1} << j0)];
+      const bool skip0 = fb::is_one(d0), skip1 = fb::is_one(d1);
+      const CVec cd = cvec_lanes(d0, d1);
+      if (skip0 && !skip1)
+        scale_lanes<0b0011>(a + 4 * p, end - p, cd);
+      else if (skip1 && !skip0)
+        scale_lanes<0b1100>(a + 4 * p, end - p, cd);
+      else if (!skip0)
+        scale_lanes<0>(a + 4 * p, end - p, cd);
+      p = end;
+    }
+  });
+}
+
 void a2_apply_diag(std::span<cplx> s, std::span<const Qubit> qs,
                    std::span<const cplx> phases) {
-  const Qubit minq = *std::min_element(qs.begin(), qs.end());
-  if (minq == 0) {  // phase can change every amplitude — nothing to batch
-    fb::apply_diag(s, qs, phases);
+  const auto min_it = std::min_element(qs.begin(), qs.end());
+  const Qubit minq = *min_it;
+  if (minq == 0) {
+    diag_bit0(s, qs, phases, static_cast<std::size_t>(min_it - qs.begin()));
     return;
   }
   const unsigned k = static_cast<unsigned>(qs.size());

@@ -72,7 +72,7 @@ TEST(BackendParity, RandomRedistributeChains) {
     for (unsigned step = 0; step < 6; ++step) {
       const std::vector<Qubit> part = random_part(rng, n, p);
       const RankLayout target =
-          RankLayout::for_part(n, p, part, serial_st.layout());
+          RankLayout::for_part(part, serial_st.layout(), n - p);
       serial_st.redistribute(target, net, serial_stats, serial_backend());
       threaded_st.redistribute(target, net, threaded_stats,
                                threaded_backend());
@@ -93,7 +93,7 @@ TEST(BackendParity, AsyncShardWaitsOutOfOrder) {
   NetworkModel net;
   CommStats s1, s2;
   const RankLayout target =
-      RankLayout::for_part(n, p, {6, 7, 8}, serial_st.layout());
+      RankLayout::for_part({6, 7, 8}, serial_st.layout(), n - p);
   serial_st.redistribute(target, net, s1, serial_backend());
   auto handle = threaded_st.redistribute_async(target, net, s2,
                                                threaded_backend());
@@ -222,9 +222,9 @@ TEST(Validation, RankLayoutRejectsBadPermutations) {
   EXPECT_THROW(RankLayout(4, 2, {0, 1, 2}), Error);        // wrong size
   EXPECT_THROW(RankLayout(4, 2, {0, 1, 2, 4}), Error);     // slot out of range
   EXPECT_THROW(RankLayout(4, 2, {0, 1, 1, 3}), Error);     // duplicate slot
-  EXPECT_THROW(RankLayout::for_part(6, 2, {0, 1, 2, 3, 4},
-                                    RankLayout::identity(6, 2)),
-               Error);  // part wider than the shard
+  EXPECT_THROW(
+      RankLayout::for_part({0, 1, 2, 3, 4}, RankLayout::identity(6, 2), 4),
+      Error);  // part wider than the shard
 }
 
 }  // namespace

@@ -124,78 +124,92 @@ TEST(CheckedDeath, CorruptNoiseSlotTableAborts) {
   EXPECT_DEATH(dist::validate_plan(plan), "does not match the gate");
 }
 
-// ---- padded level-2 slot lists --------------------------------------------
+// ---- per-qubit gate order ---------------------------------------------------
 
-/// A plan whose steps carry level-2 parts padded to 3 of 4 local slots,
-/// and the first (step, inner part) whose padded list leaves a local slot
-/// free.
-struct PaddedPlan {
-  dist::DistPlan plan;
-  std::size_t step = 0, part = 0;
-  Qubit free_slot = 0;
-
-  std::vector<Qubit>& slots() { return plan.steps[step].padded[part]; }
-};
-
-PaddedPlan padded_plan() {
+/// qft(19) on 4 ranks with level 2 at 4: 17 local slots, so the steps
+/// relayout their moved qubits onto the 16 block slots.
+dist::DistPlan level2_plan() {
   dist::DistOptions opt;
   opt.process_qubits = 2;
-  opt.level2_limit = 3;
-  PaddedPlan out{dist::compile_plan(circuits::qft(6), opt)};
-  const dist::DistPlan& plan = out.plan;
-  EXPECT_EQ(dist::pad_width(plan), 3u);
-  for (std::size_t si = 0; si < plan.steps.size(); ++si)
-    for (std::size_t i = 0; i < plan.steps[si].padded.size(); ++i) {
-      const std::vector<Qubit>& slots = plan.steps[si].padded[i];
-      for (Qubit q = 0; q < 4; ++q)
-        if (!std::binary_search(slots.begin(), slots.end(), q)) {
-          out.step = si;
-          out.part = i;
-          out.free_slot = q;
-          return out;
-        }
+  opt.level2_limit = 4;
+  return dist::compile_plan(circuits::qft(19), opt);
+}
+
+bool share_a_qubit(const Gate& a, const Gate& b) {
+  return std::ranges::find_first_of(a.qubits, b.qubits) != a.qubits.end();
+}
+
+/// Swaps the first two adjacent gates of a step that share a slot.
+void swap_dependent_gates(dist::DistPlan& plan) {
+  for (dist::DistPlan::Step& s : plan.steps)
+    for (std::size_t i = 0; i + 1 < s.local.num_gates(); ++i) {
+      const Gate a = s.local.gate(i), b = s.local.gate(i + 1);
+      if (share_a_qubit(a, b) && !(a == b)) {
+        s.local.set_gate(i, b);
+        s.local.set_gate(i + 1, a);
+        return;
+      }
     }
-  ADD_FAILURE() << "no padded list leaves a slot free";
-  return out;
+  ADD_FAILURE() << "no step holds two adjacent dependent gates";
 }
 
-TEST(Checked, PaddedPlanValidates) {
-  PaddedPlan pp = padded_plan();
-  EXPECT_EQ(pp.slots().size(), 3u);
-  dist::validate_plan(pp.plan);
+/// Swaps the first two adjacent steps whose gates share a qubit.
+void swap_dependent_steps(dist::DistPlan& plan) {
+  const auto unmapped = [](const dist::DistPlan::Step& s, const Gate& lg) {
+    Gate g = lg;
+    for (Qubit& q : g.qubits) q = s.layout.qubit_at(q);
+    return g;
+  };
+  for (std::size_t i = 0; i + 1 < plan.steps.size(); ++i)
+    for (const Gate& a : plan.steps[i].local.gates())
+      for (const Gate& b : plan.steps[i + 1].local.gates())
+        if (share_a_qubit(unmapped(plan.steps[i], a),
+                          unmapped(plan.steps[i + 1], b))) {
+          std::swap(plan.steps[i], plan.steps[i + 1]);
+          return;
+        }
+  ADD_FAILURE() << "no two adjacent steps share a qubit";
 }
 
-TEST(CheckedDeath, PaddedSlotsMissingWorkingSetAbort) {
-  PaddedPlan pp = padded_plan();
-  std::vector<Qubit>& slots = pp.slots();
-  // Trade a working-set slot for the free one: still sorted, local and
-  // three wide, but the part's gates now touch a slot run_part never
-  // gathers.
-  const Qubit used = pp.plan.steps[pp.step].inner.parts[pp.part].qubits[0];
-  std::erase(slots, used);
-  slots.insert(std::upper_bound(slots.begin(), slots.end(), pp.free_slot),
-               pp.free_slot);
-  EXPECT_DEATH(dist::validate_plan(pp.plan), "miss part of its working set");
+TEST(Checked, Level2PlanValidates) {
+  const dist::DistPlan plan = level2_plan();
+  ASSERT_GT(plan.inner_parts, plan.parts);
+  std::size_t relayouts = 0;
+  for (std::size_t si = 0; si < plan.steps.size(); ++si) {
+    const dist::DistPlan::Step& s = plan.steps[si];
+    // Every gate's moved qubits sit in the 16-slot block.
+    for (const Gate& g : s.local.gates())
+      for (Qubit q : g.moved_qubits()) EXPECT_LT(q, 16u) << g.to_string();
+    if (si > 0 && !(s.layout == plan.steps[si - 1].layout) &&
+        s.layout.shares_process_slots(plan.steps[si - 1].layout))
+      ++relayouts;
+  }
+  EXPECT_GT(relayouts, 0u);
+  dist::validate_plan(plan);
 }
 
-TEST(CheckedDeath, UnsortedPaddedSlotsAbort) {
-  PaddedPlan pp = padded_plan();
-  std::reverse(pp.slots().begin(), pp.slots().end());
-  EXPECT_DEATH(dist::validate_plan(pp.plan), "not strictly ascending");
+TEST(CheckedDeath, DependentGatesSwappedInStepAbort) {
+  dist::DistPlan plan = small_plan();
+  swap_dependent_gates(plan);
+  EXPECT_DEATH(dist::validate_plan(plan), "out of circuit order");
 }
 
-TEST(CheckedDeath, PaddedSlotsWiderThanPadWidthAbort) {
-  PaddedPlan pp = padded_plan();
-  std::vector<Qubit>& slots = pp.slots();
-  slots.insert(std::upper_bound(slots.begin(), slots.end(), pp.free_slot),
-               pp.free_slot);
-  EXPECT_DEATH(dist::validate_plan(pp.plan), "is padded to 4 slots");
+TEST(CheckedDeath, DependentStepsSwappedAbort) {
+  dist::DistPlan plan = small_plan();
+  swap_dependent_steps(plan);
+  EXPECT_DEATH(dist::validate_plan(plan), "out of circuit order");
 }
 
-TEST(CheckedDeath, PaddedListCountMismatchAborts) {
-  PaddedPlan pp = padded_plan();
-  pp.plan.steps[pp.step].padded.pop_back();
-  EXPECT_DEATH(dist::validate_plan(pp.plan), "padded slot lists for");
+TEST(CheckedDeath, DependentGatesSwappedInLevel2StepAbort) {
+  dist::DistPlan plan = level2_plan();
+  swap_dependent_gates(plan);
+  EXPECT_DEATH(dist::validate_plan(plan), "out of circuit order");
+}
+
+TEST(CheckedDeath, DependentLevel2StepsSwappedAbort) {
+  dist::DistPlan plan = level2_plan();
+  swap_dependent_steps(plan);
+  EXPECT_DEATH(dist::validate_plan(plan), "out of circuit order");
 }
 
 // ---- ExecutionPlan::validate ----------------------------------------------

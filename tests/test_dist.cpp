@@ -32,7 +32,7 @@ TEST(DistState, RedistributePreservesAmplitudes) {
   NetworkModel net;
   CommStats stats;
   const RankLayout target =
-      RankLayout::for_part(6, 2, {4, 5}, st.layout());
+      RankLayout::for_part({4, 5}, st.layout(), 4);
   st.redistribute(target, net, stats);
   const sv::StateVector after = st.to_state_vector();
   EXPECT_LT(before.max_abs_diff(after), 1e-15);
@@ -184,7 +184,7 @@ TEST(DistState, RedistributeWithExplicitBackendsAgree) {
       for (Index i = 0; i < st.local(r).size(); ++i)
         st.local(r)[i] =
             cplx(static_cast<double>(st.layout().global_index(r, i)), 0);
-    const RankLayout target = RankLayout::for_part(6, 2, {4, 5}, st.layout());
+    const RankLayout target = RankLayout::for_part({4, 5}, st.layout(), 4);
     st.redistribute(target, net, stats[b], *backends[b]);
     results[b] = st.to_state_vector();
   }
@@ -263,7 +263,7 @@ TEST_P(RunCopies, ShardsAndGatherMatchGlobalIndexOracle) {
   const RunCase& tc = GetParam();
   const RankLayout start = RankLayout::identity(tc.n, tc.p);
   const RankLayout target =
-      tc.slot_of.empty() ? RankLayout::for_part(tc.n, tc.p, tc.part, start)
+      tc.slot_of.empty() ? RankLayout::for_part(tc.part, start, tc.n - tc.p)
                          : RankLayout(tc.n, tc.p, tc.slot_of);
   ASSERT_EQ(exchange_run_bits(start, target), tc.exchange_bits);
   NetworkModel net;
@@ -307,7 +307,7 @@ TEST(DistState, LoadStateVectorInvertsGatherUnderNonIdentityLayout) {
     DistState st(6, 2);
     NetworkModel net;
     CommStats stats;
-    st.redistribute(RankLayout::for_part(6, 2, part, st.layout()), net, stats);
+    st.redistribute(RankLayout::for_part(part, st.layout(), 4), net, stats);
     ASSERT_FALSE(st.layout() == RankLayout::identity(6, 2));
     sv::StateVector in(6);
     for (Index g = 0; g < in.size(); ++g)

@@ -10,12 +10,22 @@
 #include "hisvsim/engine.hpp"
 #include "qasm/parser.hpp"
 #include "partition/exact.hpp"
-#include "sv/hierarchical.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim {
 namespace {
+
+/// `c` exactly as given on the hierarchical target at `limit`.
+Result run_hierarchical(const Circuit& c, unsigned limit,
+                        partition::Strategy strategy,
+                        const ExecOptions& x = {}) {
+  Options o;
+  o.limit = limit;
+  o.strategy = strategy;
+  o.opt_level = 0;
+  return Engine::compile(c, o).execute(x);
+}
 
 TEST(EdgeCase, OneQubitCircuitAllPaths) {
   Circuit c(1);
@@ -62,10 +72,10 @@ TEST(EdgeCase, PartHoldingEveryQubit) {
   const dag::CircuitDag d(c);
   const auto parts = partition::partition_nat(d, 6);
   ASSERT_EQ(parts.num_parts(), 1u);
-  // Inner state vector == outer: gather degenerates to a copy.
-  sv::StateVector state(6);
-  sv::run_part(c, parts.parts[0].gates, parts.parts[0].qubits, state);
-  EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
+  // One part as wide as the state: nothing to relayout.
+  const Result r = run_hierarchical(c, 6, partition::Strategy::Nat);
+  EXPECT_EQ(r.parts, 1u);
+  EXPECT_LT(r.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
 }
 
 TEST(EdgeCase, SingleQubitParts) {
@@ -81,10 +91,9 @@ TEST(EdgeCase, SingleQubitParts) {
     opt.strategy = s;
     const auto parts = partition::make_partition(d, opt);
     partition::validate(d, parts);
-    sv::StateVector state(4);
-    for (const partition::Part& p : parts.parts)
-      sv::run_part(c, p.gates, p.qubits, state);
-    EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
+    const Result r = run_hierarchical(c, 1, s);
+    EXPECT_EQ(r.parts, parts.num_parts());
+    EXPECT_LT(r.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
   }
 }
 
@@ -182,18 +191,17 @@ TEST(EdgeCase, ValidateRejectsCyclicHandCraft) {
 }
 
 TEST(EdgeCase, HierarchicalWithPrePreparedState) {
-  // run_part must act on the provided state, not reset it.
+  // The hierarchical target must act on the provided state, not reset it.
   Circuit prep(5), body(5);
   prep.add(Gate::x(4));
   body.add(Gate::cx(4, 0));
   sv::StateVector state(5);
   sv::FlatSimulator().run(prep, state);
-  const dag::CircuitDag d(body);
-  const auto parts = partition::partition_nat(d, 2);
-  for (const partition::Part& p : parts.parts)
-    sv::run_part(body, p.gates, p.qubits, state);
-  EXPECT_NEAR(state.prob_one(0), 1.0, 1e-12);
-  EXPECT_NEAR(state.prob_one(4), 1.0, 1e-12);
+  ExecOptions x;
+  x.initial_state = &state;
+  const Result r = run_hierarchical(body, 2, partition::Strategy::Nat, x);
+  EXPECT_NEAR(r.state.prob_one(0), 1.0, 1e-12);
+  EXPECT_NEAR(r.state.prob_one(4), 1.0, 1e-12);
 }
 
 TEST(EdgeCase, DeepCircuitManyParts) {
@@ -212,10 +220,9 @@ TEST(EdgeCase, DeepCircuitManyParts) {
   opt.limit = 3;
   const auto parts = partition::make_partition(d, opt);
   partition::validate(d, parts);
-  sv::StateVector state(8);
-  for (const partition::Part& p : parts.parts)
-    sv::run_part(c, p.gates, p.qubits, state);
-  EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
+  const Result r = run_hierarchical(c, 3, opt.strategy);
+  EXPECT_EQ(r.parts, parts.num_parts());
+  EXPECT_LT(r.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
 }
 
 TEST(EdgeCase, StateVectorTooLargeRejected) {

@@ -12,7 +12,6 @@
 #include "dag/circuit_dag.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
-#include "sv/hierarchical.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
@@ -114,31 +113,42 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     expect_bit_identical(plan.execute().state, legacy.to_state_vector(),
                          "distributed-serial level 2 off " + w.name());
   }
-  {  // Hierarchical (parts padded to the limit) vs make_partition +
-     // run_part over every part's unpadded working set.
-    Options o;
-    o.target = Target::Hierarchical;
-    o.limit = 5;
-    const dag::CircuitDag dag(c);
-    partition::PartitionOptions po;
-    po.limit = 5;
-    const auto parts = partition::make_partition(dag, po);
-    // Padding must not change a bit even where it moves every qubit of a
-    // part to a different inner slot: a narrow part without qubit 0.
-    EXPECT_TRUE(std::any_of(parts.parts.begin(), parts.parts.end(),
-                            [](const partition::Part& p) {
-                              return p.qubits.size() < 5 && p.qubits[0] != 0;
-                            }));
-    for (unsigned threads : {1u, 4u}) {
-      parallel::set_num_threads(threads);
-      sv::StateVector legacy(n);
+  for (const Circuit& w : wide)
+    for (unsigned limit : {12u, 18u}) {
+      // Hierarchical vs its level-2 partition applied gate by gate in part
+      // order. At limit 12 the parts relayout their moved qubits below the
+      // block; at 18 a part may move more qubits than the block holds.
+      Options o;
+      o.target = Target::Hierarchical;
+      o.limit = limit;
+      const ExecutionPlan plan = Engine::compile(w, o);
+      partition::PartitionOptions po;
+      po.limit = limit;
+      po.strategy = o.strategy;
+      po.seed = o.seed;
+      const auto parts =
+          partition::make_partition(dag::CircuitDag(plan.circuit()), po);
+      ASSERT_EQ(parts.num_parts(), plan.num_parts()) << w.name();
+      sv::StateVector legacy(w.num_qubits());
       for (const partition::Part& p : parts.parts)
-        sv::run_part(c, p.gates, p.qubits, legacy);
-      expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
-                           "hierarchical, threads " + std::to_string(threads));
+        for (std::size_t gi : p.gates)
+          sv::apply_gate(legacy, plan.circuit().gate(gi));
+      for (unsigned threads : {1u, 4u}) {
+        parallel::set_num_threads(threads);
+        const Result r = plan.execute();
+        ASSERT_EQ(r.state.bytes(), legacy.bytes());
+        EXPECT_EQ(std::memcmp(r.state.data(), legacy.data(), legacy.bytes()),
+                  0)
+            << "hierarchical " << w.name() << " limit " << limit
+            << ", threads " << threads;
+        // Qubits 16 and 17 are moved by some part, and at limit 18 by
+        // the one part that already holds the block's 16 slots.
+        if (limit == 12) {
+          EXPECT_GT(r.metrics.at("relayout.bytes"), 0.0);
+        }
+      }
+      parallel::set_num_threads(0);
     }
-    parallel::set_num_threads(0);
-  }
   for (Target t : {Target::DistributedSerial, Target::DistributedThreaded})
     for (unsigned level2 : {0u, 3u}) {
       // Distributed vs compile_plan + execute_plan on a fresh DistState.
@@ -345,9 +355,8 @@ TEST(Engine, ResultJsonCarriesReportFields) {
   {
     const std::string j = Engine::compile(c, Options{}).execute().to_json();
     for (const char* key : {"\"target\": \"hierarchical\"",
-                            "\"gather.seconds\":", "\"apply.seconds\":",
-                            "\"scatter.seconds\":",
-                            "\"sv.outer_bytes_moved\":"})
+                            "\"apply.seconds\":", "\"relayout.seconds\":",
+                            "\"relayout.bytes\":"})
       EXPECT_NE(j.find(key), std::string::npos) << key << "\n" << j;
     EXPECT_EQ(j.find("\"exchange.bytes\""), std::string::npos) << j;
     EXPECT_EQ(j.find("\"ranks\""), std::string::npos) << j;

@@ -7,7 +7,7 @@
 
 #include "circuits/generators.hpp"
 #include "qasm/parser.hpp"
-#include "sv/hierarchical.hpp"
+#include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim::partition {
@@ -50,17 +50,25 @@ TEST(Export, QasmRoundTripsPerPart) {
 }
 
 TEST(Export, RemappedPartsReproduceFullState) {
-  // Re-execute the exported parts through the gather/execute/scatter
-  // machinery: the final state must equal the flat simulation — this is
-  // exactly the hybrid GPU workflow of Sec. VI.
+  // Re-execute the exported parts in part order: the final state must
+  // equal the flat simulation — this is exactly the hybrid GPU workflow of
+  // Sec. VI.
   const Circuit c = circuits::qaoa(8, 2, 11);
   const auto parts = make_dagp(c, 5);
   const auto exported = export_parts(c, parts);
+  ASSERT_EQ(exported.size(), parts.num_parts());
   sv::StateVector state(c.num_qubits());
   for (std::size_t pi = 0; pi < exported.size(); ++pi) {
-    // Run the remapped circuit against the outer vector via run_part on
-    // the original labels (the export must agree with that path).
-    sv::run_part(c, parts.parts[pi].gates, parts.parts[pi].qubits, state);
+    // Each exported gate on its part-local qubit is the part's gate on
+    // the original label.
+    const Circuit& local = exported[pi].circuit;
+    ASSERT_EQ(local.num_gates(), parts.parts[pi].gates.size());
+    for (std::size_t j = 0; j < local.num_gates(); ++j) {
+      Gate g = local.gate(j);
+      for (Qubit& q : g.qubits) q = exported[pi].qubit_map[q];
+      EXPECT_EQ(g, c.gate(parts.parts[pi].gates[j]));
+      sv::apply_gate(state, g);
+    }
   }
   EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
 }

@@ -1,36 +1,38 @@
-#include "sv/hierarchical.hpp"
+// The hierarchical executor (Alg. 1): every level-2 part relayouts its
+// moved qubits onto apply_gates' cache block in place (sv::permute_qubits)
+// and runs there. Tests the permutation against an index map, and the
+// targets that relayout against the flat reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "circuits/generators.hpp"
+#include "common/bits.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/trace.hpp"
+#include "dag/circuit_dag.hpp"
 #include "hisvsim/engine.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 #include "testing/random_circuits.hpp"
 
-namespace hisim::sv {
+namespace hisim {
 namespace {
 
-void expect_bit_identical(const StateVector& a, const StateVector& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.bytes()), 0);
+void expect_bit_identical(const sv::StateVector& a, const sv::StateVector& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.bytes()), 0) << what;
 }
 
 std::uint64_t pool_tasks() {
   return trace::MetricsRegistry::global().counter("pool.tasks").value();
-}
-
-/// Alg. 1 over a whole partitioning: every part through run_part.
-void run_parts(const Circuit& c, const partition::Partitioning& parts,
-               StateVector& state,
-               std::map<std::string, double>* metrics = nullptr) {
-  for (const partition::Part& p : parts.parts)
-    run_part(c, p.gates, p.qubits, state, metrics);
 }
 
 struct Case {
@@ -45,22 +47,20 @@ class HierarchicalMatchesFlat : public ::testing::TestWithParam<Case> {};
 TEST_P(HierarchicalMatchesFlat, SameAmplitudes) {
   const Case& tc = GetParam();
   const Circuit c = circuits::make_by_name(tc.name, tc.qubits);
-  const dag::CircuitDag d(c);
-  partition::PartitionOptions opt;
-  opt.limit = tc.limit;
-  opt.strategy = tc.strategy;
-  const partition::Partitioning parts = partition::make_partition(d, opt);
-  partition::validate(d, parts);
-
-  const StateVector flat = FlatSimulator().simulate(c);
-  std::map<std::string, double> m;
-  StateVector hier(c.num_qubits());
-  run_parts(c, parts, hier, &m);
-  EXPECT_LT(hier.max_abs_diff(flat), 1e-10)
+  Options o;
+  o.limit = tc.limit;
+  o.strategy = tc.strategy;
+  o.opt_level = 0;
+  const ExecutionPlan plan = Engine::compile(c, o);
+  partition::PartitionOptions po;
+  po.limit = tc.limit;
+  po.strategy = tc.strategy;
+  po.seed = o.seed;
+  const auto parts = partition::make_partition(dag::CircuitDag(c), po);
+  EXPECT_EQ(plan.num_parts(), parts.num_parts());
+  const sv::StateVector flat = sv::FlatSimulator().simulate(c);
+  EXPECT_LT(plan.execute().state.max_abs_diff(flat), 1e-10)
       << tc.name << " " << partition::strategy_name(tc.strategy);
-  // Every part gathers and scatters the whole outer vector once.
-  EXPECT_EQ(m.at("sv.outer_bytes_moved"),
-            static_cast<double>(2 * parts.num_parts() * flat.bytes()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,169 +84,216 @@ INSTANTIATE_TEST_SUITE_P(
              partition::strategy_name(ti.param.strategy);
     });
 
-TEST(Hierarchical, SinglePartEqualsFlat) {
-  const Circuit c = circuits::qft(6);
-  const dag::CircuitDag d(c);
-  const partition::Partitioning p = partition::partition_nat(d, 6);
-  ASSERT_EQ(p.num_parts(), 1u);
-  const StateVector flat = FlatSimulator().simulate(c);
-  StateVector hier(c.num_qubits());
-  run_parts(c, p, hier);
-  EXPECT_LT(hier.max_abs_diff(flat), 1e-12);
-}
+// ---- sv::permute_qubits ----------------------------------------------------
 
-TEST(Hierarchical, RunPartSweepsWholeOuter) {
-  // A part acting on a strict qubit subset must leave other-qubit marginals
-  // intact.
-  Circuit c(5);
-  c.add(Gate::h(1));
-  c.add(Gate::cx(1, 3));
-  const dag::CircuitDag d(c);
-  const partition::Partitioning p = partition::partition_nat(d, 2);
-  StateVector state(5);
-  apply_gate(state, Gate::x(4));  // pre-set qubit 4
-  for (const auto& part : p.parts)
-    run_part(c, part.gates, part.qubits, state);
-  EXPECT_NEAR(state.prob_one(4), 1.0, 1e-12);
-  EXPECT_NEAR(state.prob_one(1), 0.5, 1e-12);
-  EXPECT_NEAR(state.prob_one(3), 0.5, 1e-12);
-}
-
-TEST(Hierarchical, StatsTrafficScalesWithParts) {
-  const Circuit c = circuits::ising(10, 3, 2);
-  const dag::CircuitDag d(c);
-  const partition::Partitioning coarse = partition::partition_nat(d, 10);
-  const partition::Partitioning fine = partition::partition_nat(d, 3);
-  StateVector s1(10), s2(10);
-  std::map<std::string, double> m1, m2;
-  run_parts(c, coarse, s1, &m1);
-  run_parts(c, fine, s2, &m2);
-  ASSERT_GT(fine.num_parts(), coarse.num_parts());
-  EXPECT_GT(m2.at("sv.outer_bytes_moved"), m1.at("sv.outer_bytes_moved"));
-  EXPECT_LT(s1.max_abs_diff(s2), 1e-10);
-}
-
-TEST(Hierarchical, FlopsAccounted) {
-  const Circuit c = circuits::bv(8);
-  const dag::CircuitDag d(c);
-  const partition::Partitioning p = partition::partition_nat(d, 4);
-  StateVector s(8);
-  std::map<std::string, double> m;
-  run_parts(c, p, s, &m);
-  EXPECT_GT(m.at("sv.flops"), 0.0);
-  EXPECT_GT(m.at("sv.inner_bytes_touched"), 0.0);
-}
-
-TEST(Hierarchical, FanOutRule) {
-  EXPECT_TRUE(fans_out(4, 256, 4));
-  EXPECT_FALSE(fans_out(8, 2, 4));   // fewer cosets than threads
-  EXPECT_FALSE(fans_out(21, 8, 4));  // 4 inner vectors exceed the budget
-  EXPECT_TRUE(fans_out(19, 8, 4));   // 4 x 2^19 is exactly the budget
-  EXPECT_TRUE(fans_out(21, 8, 1));   // one thread: the serial loop
-}
-
-// Fan-out path: every part of a 12-qubit circuit at limit 4 has 2^8 cosets,
-// so each of 4 workers runs a block of them through its own inner vector.
-TEST(Hierarchical, FanOutBitIdenticalAcrossThreadCounts) {
-  constexpr unsigned n = 12;
-  const Circuit c = testutil::random_circuit(n, 240, 11);
-  const dag::CircuitDag d(c);
-  partition::PartitionOptions opt;
-  opt.limit = 4;
-  const partition::Partitioning parts = partition::make_partition(d, opt);
-  for (const partition::Part& p : parts.parts)
-    ASSERT_TRUE(fans_out(p.working_set(), Index{1} << (n - p.working_set()),
-                         4));
-  const StateVector init = testutil::random_state(n, 3);
-  StateVector flat = init;
-  FlatSimulator().run(c, flat);
-
-  StateVector one = init, four = init, nested = init;
-  parallel::set_num_threads(1);
-  run_parts(c, parts, one);
-  parallel::set_num_threads(4);
-  std::uint64_t before = pool_tasks();
-  run_parts(c, parts, four);
-  const std::uint64_t tasks = pool_tasks() - before;
-  before = pool_tasks();
-  {
-    // As inside a sweep point: one thread, no pool tasks.
-    parallel::inline_scope inline_only;
-    run_parts(c, parts, nested);
+/// Amplitude i of `s` moved to the index whose bit to[q] is bit q of i.
+sv::StateVector reference_permute(const sv::StateVector& s,
+                                  const std::vector<Qubit>& to) {
+  sv::StateVector out(s.num_qubits());
+  for (Index i = 0; i < s.size(); ++i) {
+    Index j = 0;
+    for (Qubit q = 0; q < to.size(); ++q)
+      if (bits::test(i, q)) j |= Index{1} << to[q];
+    out[j] = s[i];
   }
-  const std::uint64_t nested_tasks = pool_tasks() - before;
-  parallel::set_num_threads(0);
-
-  expect_bit_identical(one, four);
-  expect_bit_identical(one, nested);
-  EXPECT_LT(four.max_abs_diff(flat), 1e-10);
-  // One pool task per worker per part; copies and kernels ran inline.
-  EXPECT_EQ(tasks, 4 * parts.num_parts());
-  EXPECT_EQ(nested_tasks, 0u);
+  return out;
 }
 
-// Split-copy path: one part covering all but one qubit has 2 cosets, fewer
-// than 3 or 4 threads, so one inner vector is used and each gather and
-// scatter is split over the pool (at n = 15 into several chunks; with 3
-// threads they start at offsets that are not powers of two). The hole in
-// the middle splits the part's qubits; the top hole leaves the part
-// holding qubits 0..n-2.
-TEST(Hierarchical, SplitCopyBitIdenticalAcrossThreadCounts) {
-  for (const unsigned n : {9u, 15u})
-    for (const Qubit hole :
-         {static_cast<Qubit>(n / 2), static_cast<Qubit>(n - 1)}) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " hole=" + std::to_string(hole));
-      // A random circuit on every qubit except `hole`, which stays outside
-      // the part and picks the coset.
-      std::vector<Qubit> part_qubits;
-      for (Qubit q = 0; q < n; ++q)
-        if (q != hole) part_qubits.push_back(q);
-      const Circuit small = testutil::random_circuit(n - 1, 120, n);
-      Circuit c(n);
-      std::vector<std::size_t> gates;
-      for (Gate g : small.gates()) {
-        for (Qubit& q : g.qubits) q = part_qubits[q];
-        gates.push_back(c.num_gates());
-        c.add(std::move(g));
-      }
-      ASSERT_FALSE(fans_out(n - 1, 2, 3));
-      ASSERT_FALSE(fans_out(n - 1, 2, 4));
-      const StateVector init = testutil::random_state(n, 5);
-      StateVector flat = init;
-      FlatSimulator().run(c, flat);
-
-      StateVector one = init, three = init, four = init;
-      parallel::set_num_threads(1);
-      run_part(c, gates, part_qubits, one);
-      parallel::set_num_threads(3);
-      run_part(c, gates, part_qubits, three);
-      parallel::set_num_threads(4);
-      run_part(c, gates, part_qubits, four);
-      parallel::set_num_threads(0);
-
-      expect_bit_identical(one, three);
-      expect_bit_identical(one, four);
-      EXPECT_LT(four.max_abs_diff(flat), 1e-10);
+/// The slot maps of one size: the identity, every single swap, disjoint
+/// swaps from the top and from slot 0, a cycle of every length from 2 to
+/// n (starting at slot 0 and ending at the top), and seeded shuffles.
+std::vector<std::vector<Qubit>> slot_maps(unsigned n, Rng& rng) {
+  std::vector<Qubit> id(n);
+  std::iota(id.begin(), id.end(), Qubit{0});
+  std::vector<std::vector<Qubit>> maps = {id};
+  for (Qubit a = 0; a < n; ++a)
+    for (Qubit b = a + 1; b < n; ++b) {
+      std::vector<Qubit> m = id;
+      std::swap(m[a], m[b]);
+      maps.push_back(m);
     }
+  for (bool from_top : {true, false}) {
+    std::vector<Qubit> m = id;
+    for (Qubit k = 0; k + 1 < n; k += 2) {
+      const Qubit a = from_top ? n - 1 - k : k;
+      const Qubit b = from_top ? n - 2 - k : k + 1;
+      std::swap(m[a], m[b]);
+    }
+    maps.push_back(m);
+  }
+  for (unsigned len = 2; len <= n; ++len)
+    for (Qubit first : {Qubit{0}, static_cast<Qubit>(n - len)}) {
+      std::vector<Qubit> m = id;
+      for (unsigned k = 0; k < len; ++k)
+        m[first + k] = first + (k + 1) % len;
+      maps.push_back(m);
+    }
+  for (int r = 0; r < 4; ++r) {
+    std::vector<Qubit> m = id;
+    for (std::size_t i = m.size(); i > 1; --i)
+      std::swap(m[i - 1], m[rng.below(i)]);
+    maps.push_back(m);
+  }
+  return maps;
 }
 
-// The engine's gather/apply/scatter split is wall-clock: fanned-out
-// workers overlap, so summing their stopwatches would exceed the wall.
+TEST(Relayout, MatchesIndexMapReference) {
+  Rng rng(17);
+  parallel::set_num_threads(4);
+  for (unsigned n = 1; n <= 12; ++n) {
+    const sv::StateVector start = testutil::random_state(n, n);
+    for (const std::vector<Qubit>& to : slot_maps(n, rng)) {
+      const std::string what =
+          "n=" + std::to_string(n) + " to=" + ::testing::PrintToString(to);
+      const sv::StateVector want = reference_permute(start, to);
+      sv::StateVector pooled = start, nested = start;
+      const Index moved = sv::permute_qubits(pooled, to);
+      {
+        // As inside a sweep point or a distributed rank.
+        parallel::inline_scope inline_only;
+        EXPECT_EQ(sv::permute_qubits(nested, to), moved) << what;
+      }
+      expect_bit_identical(pooled, want, what);
+      expect_bit_identical(nested, want, what);
+      // A product of k disjoint swaps is one pass, which moves every
+      // amplitude but those whose swapped bits agree pairwise; anything
+      // else takes two passes.
+      unsigned swaps = 0;
+      bool involution = true;
+      for (Qubit q = 0; q < n; ++q) {
+        involution = involution && to[to[q]] == q;
+        swaps += to[q] > q;
+      }
+      if (involution)
+        EXPECT_EQ(moved, start.size() - (start.size() >> swaps)) << what;
+      else
+        EXPECT_LE(moved, 2 * start.size()) << what;
+    }
+  }
+  parallel::set_num_threads(0);
+}
+
+// ---- executing across the cache block --------------------------------------
+
+/// A seeded circuit on n qubits dense in controls and diagonals: controlled
+/// phases and rotations, Toffolis, ZZ triples, rzz and 1q phases, with a
+/// few dense gates and swaps between them, on qubits drawn from the whole
+/// register, so parts move qubits on both sides of the 16-slot block.
+Circuit dense_in_controls(unsigned n, std::size_t gates, std::uint64_t seed) {
+  Rng rng(seed);
+  Circuit c(n);
+  const auto q = [&] { return static_cast<Qubit>(rng.below(n)); };
+  const auto other = [&](std::initializer_list<Qubit> used) {
+    Qubit x = q();
+    while (std::find(used.begin(), used.end(), x) != used.end()) x = q();
+    return x;
+  };
+  for (Qubit k = 0; k < n; ++k) c.add(Gate::h(k));
+  while (c.num_gates() < gates) {
+    const Qubit a = q(), b = other({a});
+    const double th = rng.uniform(-3.0, 3.0);
+    switch (rng.below(10)) {
+      case 0: c.add(Gate::cp(a, b, th)); break;
+      case 1: c.add(Gate::crz(a, b, th)); break;
+      case 2: c.add(Gate::cz(a, b)); break;
+      case 3: c.add(Gate::ccx(a, b, other({a, b}))); break;
+      case 4:
+        c.add(Gate::cx(a, b));
+        c.add(Gate::p(b, th));
+        c.add(Gate::cx(a, b));
+        break;
+      case 5: c.add(Gate::rzz(a, b, th)); break;
+      case 6: c.add(rng.below(2) ? Gate::t(a) : Gate::rz(a, th)); break;
+      case 7: c.add(Gate::cx(a, b)); break;
+      case 8: c.add(rng.below(2) ? Gate::ry(a, th) : Gate::swap(a, b)); break;
+      default: c.add(Gate::cswap(a, b, other({a, b}))); break;
+    }
+  }
+  return c;
+}
+
+TEST(Hierarchical, DenseRandomCircuitsAcrossTheBlock) {
+  for (std::uint64_t seed : {3ull, 41ull, 97ull}) {
+    Rng rng(seed);
+    std::vector<Options> configs;
+    // Hierarchical at n = 18: a limit from the widest gate (3) to the
+    // block, and one wider than the block.
+    for (unsigned limit :
+         {3 + static_cast<unsigned>(rng.below(14)), 18u}) {
+      Options o;
+      o.limit = limit;
+      configs.push_back(o);
+    }
+    // Distributed at p = 2 with level 2 auto needs n = 19: at 18 the
+    // 16-qubit shard is the block, so auto level 2 is off.
+    for (Target t : {Target::DistributedSerial, Target::DistributedThreaded}) {
+      Options o;
+      o.target = t;
+      o.process_qubits = 2;
+      configs.push_back(o);
+    }
+    for (const Options& o : configs) {
+      const unsigned n = target_is_distributed(o.target) ? 19 : 18;
+      const Circuit c = dense_in_controls(n, 260, seed);
+      const std::string what = std::string(target_name(o.target)) +
+                               " limit " + std::to_string(o.limit) +
+                               " seed " + std::to_string(seed);
+      const ExecutionPlan plan = Engine::compile(c, o);
+      const Result r1 = plan.execute();
+      const Result r2 = plan.execute();
+      EXPECT_LT(r1.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9)
+          << what;
+      expect_bit_identical(r1.state, r2.state, what);
+      // At limit 18 the one part moves all 18 qubits and keeps the 16
+      // already in the block; every narrower part set relayouts.
+      if (o.limit <= 16)
+        EXPECT_GT(r1.metrics.at("relayout.bytes"), 0.0) << what;
+      else
+        EXPECT_EQ(r1.metrics.count("relayout.bytes"), 1u) << what;
+    }
+  }
+}
+
+// Every thread count, and a run inline as inside a sweep point, gives the
+// same bits: the relayouts are exact and each amplitude sees the same
+// gate sequence.
+TEST(Hierarchical, BitIdenticalAcrossThreadCounts) {
+  const Circuit c = dense_in_controls(18, 200, 5);
+  Options o;
+  o.limit = 8;
+  const ExecutionPlan plan = Engine::compile(c, o);
+  parallel::set_num_threads(1);
+  const Result one = plan.execute();
+  EXPECT_GT(one.metrics.at("relayout.bytes"), 0.0);
+  for (unsigned threads : {3u, 4u}) {
+    parallel::set_num_threads(threads);
+    expect_bit_identical(one.state, plan.execute().state,
+                         std::to_string(threads) + " threads");
+  }
+  const std::uint64_t before = pool_tasks();
+  {
+    parallel::inline_scope inline_only;
+    expect_bit_identical(one.state, plan.execute().state, "inline");
+  }
+  EXPECT_EQ(pool_tasks(), before);
+  parallel::set_num_threads(0);
+}
+
+// The engine reports apply and relayout as wall-clock phases inside the
+// execute.
 TEST(Hierarchical, EnginePhaseSecondsFitInExecuteWall) {
   Options o;
-  o.target = Target::Hierarchical;
   o.limit = 8;
   parallel::set_num_threads(4);
-  const Result r = Engine::compile(circuits::qft(16), o).execute();
+  const Result r = Engine::compile(circuits::qft(18), o).execute();
   parallel::set_num_threads(0);
-  const double gather = r.metrics.at("gather.seconds");
   const double apply = r.metrics.at("apply.seconds");
-  const double scatter = r.metrics.at("scatter.seconds");
-  EXPECT_GT(gather, 0.0);
+  const double relayout = r.metrics.at("relayout.seconds");
   EXPECT_GT(apply, 0.0);
-  EXPECT_GT(scatter, 0.0);
-  EXPECT_LE(gather + apply + scatter, r.metrics.at("execute.wall_seconds"));
+  EXPECT_GT(relayout, 0.0);
+  EXPECT_GT(r.metrics.at("relayout.bytes"), 0.0);
+  EXPECT_LE(apply + relayout, r.metrics.at("execute.wall_seconds"));
 }
 
 }  // namespace
-}  // namespace hisim::sv
+}  // namespace hisim

@@ -108,7 +108,7 @@ TEST(Iqs, RequiresIdentityLayout) {
   NetworkModel net;
   CommStats stats;
   const RankLayout scrambled =
-      RankLayout::for_part(6, 2, {4, 5}, state.layout());
+      RankLayout::for_part({4, 5}, state.layout(), 4);
   state.redistribute(scrambled, net, stats);
   EXPECT_THROW(IqsBaselineSimulator().run(c, state), Error);
 }

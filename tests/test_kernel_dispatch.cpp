@@ -158,11 +158,15 @@ std::vector<Gate> every_placement(unsigned n) {
 /// Gates on 15 qubits whose runs (2^13 or 2^14 amplitudes) are longer than
 /// the pool's 4096-enumerand grain, so on 4 threads chunk edges cut runs.
 /// In cx(1, 14) the edges cut a strided group of 2^12 short runs instead;
-/// h(1) and cp(0, 14) put the AVX2 tier's block walk and its bit-0
-/// controlled-diagonal path on the pool.
+/// h(1), cp(0, 14) and rzz(0, 14) put the AVX2 tier's block walk and its
+/// bit-0 controlled- and general-diagonal paths on the pool. The last
+/// three gates are a ZZ triple on (0, 12): inside apply_gates' blocks one
+/// general diagonal, two of whose four phases are exactly 1.
 std::vector<Gate> pooled_gates() {
   return {Gate::cx(13, 14), Gate::cp(13, 14, 0.7), Gate::rz(14, 1.1),
-          Gate::cx(1, 14),  Gate::h(1),            Gate::cp(0, 14, -0.3)};
+          Gate::cx(1, 14),  Gate::h(1),            Gate::cp(0, 14, -0.3),
+          Gate::rzz(0, 14, 0.9), Gate::cx(0, 12),  Gate::p(12, -0.6),
+          Gate::cx(0, 12)};
 }
 
 /// Runs fn with the pool at `threads` workers, restoring the default.
@@ -215,6 +219,15 @@ TEST(KernelDispatch, EveryGateKindEveryTierMatchesScalar) {
   for (const Gate& g : every_placement(7)) expect_tiers_agree(g, 7);
   with_threads(4, [] {
     for (const Gate& g : pooled_gates()) expect_tiers_agree(g, 15);
+    // The triple merged on a state wider than the block: the simd tier's
+    // bit-0 general diagonal, with the exact-one lanes blended back.
+    const std::vector<Gate> pooled = pooled_gates();
+    const std::span<const Gate> zz = std::span(pooled).last(3);
+    sv::StateVector a = signed_zero_state(sv::kCacheQubits + 1);
+    sv::StateVector b = a;
+    sv::apply_gates(a, zz, sv::kernel_ops(sv::KernelTier::Scalar));
+    sv::apply_gates(b, zz, sv::kernel_ops(sv::KernelTier::Simd));
+    expect_bit_identical(a, b, "zz triple on (0, 12)");
   });
 }
 

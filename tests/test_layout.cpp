@@ -41,7 +41,7 @@ TEST(Layout, PermutationValidated) {
 TEST(Layout, ForPartPlacesPartQubitsLocal) {
   const RankLayout prev = RankLayout::identity(8, 3);
   const std::vector<Qubit> part = {5, 6, 7};  // previously process qubits
-  const RankLayout lay = RankLayout::for_part(8, 3, part, prev);
+  const RankLayout lay = RankLayout::for_part(part, prev, 5);
   for (Qubit q : part) EXPECT_TRUE(lay.is_local(q)) << q;
   // All slots used exactly once is enforced by the constructor.
 }
@@ -49,18 +49,18 @@ TEST(Layout, ForPartPlacesPartQubitsLocal) {
 TEST(Layout, ForPartKeepsStableQubits) {
   const RankLayout prev = RankLayout::identity(8, 2);
   // Part over qubits already local: layout should be unchanged.
-  const RankLayout lay = RankLayout::for_part(8, 2, {0, 1, 2}, prev);
+  const RankLayout lay = RankLayout::for_part({0, 1, 2}, prev, 6);
   EXPECT_TRUE(lay == prev);
 }
 
 TEST(Layout, ForPartRejectsOversizedPart) {
   const RankLayout prev = RankLayout::identity(4, 2);
-  EXPECT_THROW(RankLayout::for_part(4, 2, {0, 1, 2}, prev), Error);
+  EXPECT_THROW(RankLayout::for_part({0, 1, 2}, prev, 2), Error);
 }
 
 TEST(Layout, GlobalIndexBijective) {
   const RankLayout prev = RankLayout::identity(6, 2);
-  const RankLayout lay = RankLayout::for_part(6, 2, {4, 5, 1}, prev);
+  const RankLayout lay = RankLayout::for_part({4, 5, 1}, prev, 4);
   std::set<Index> seen;
   for (unsigned r = 0; r < lay.num_ranks(); ++r)
     for (Index i = 0; i < lay.local_dim(); ++i) {

@@ -37,7 +37,7 @@ TEST_P(LayoutChains, RandomPartSequencePreservesState) {
     std::set<Qubit> part;
     while (part.size() < w) part.insert(static_cast<Qubit>(rng.below(n)));
     const std::vector<Qubit> pq(part.begin(), part.end());
-    const RankLayout target = RankLayout::for_part(n, p, pq, st.layout());
+    const RankLayout target = RankLayout::for_part(pq, st.layout(), n - p);
     st.redistribute(target, net, stats);
     for (Qubit q : pq) EXPECT_TRUE(st.layout().is_local(q)) << "seed " << seed;
     // Bijection: locate(global_index(r, i)) round-trips.
@@ -62,10 +62,10 @@ TEST(LayoutProperties, StableQubitsAvoidTraffic) {
   DistState st(n, p);
   NetworkModel net;
   CommStats s1, s2;
-  const RankLayout first = RankLayout::for_part(n, p, {0, 1, 2}, st.layout());
+  const RankLayout first = RankLayout::for_part({0, 1, 2}, st.layout(), n - p);
   st.redistribute(first, net, s1);
   EXPECT_EQ(s1.exchanges, 0u);  // identity layout already has 0-5 local
-  const RankLayout again = RankLayout::for_part(n, p, {2, 1}, st.layout());
+  const RankLayout again = RankLayout::for_part({2, 1}, st.layout(), n - p);
   st.redistribute(again, net, s2);
   EXPECT_EQ(s2.exchanges, 0u);
 }
@@ -75,7 +75,7 @@ TEST(LayoutProperties, MinimalMovementHeuristic) {
   // local qubits: their slots stay fixed.
   const unsigned n = 8, p = 2;
   const RankLayout prev = RankLayout::identity(n, p);
-  const RankLayout next = RankLayout::for_part(n, p, {0, 1, 7}, prev);
+  const RankLayout next = RankLayout::for_part({0, 1, 7}, prev, n - p);
   // Qubits 0..5 were local; 0 and 1 keep their slots.
   EXPECT_EQ(next.slot_of(0), prev.slot_of(0));
   EXPECT_EQ(next.slot_of(1), prev.slot_of(1));
@@ -90,7 +90,7 @@ TEST(LayoutProperties, CommVolumeBoundedByState) {
   NetworkModel net;
   CommStats stats;
   const RankLayout target =
-      RankLayout::for_part(n, p, {6, 7, 8}, st.layout());
+      RankLayout::for_part({6, 7, 8}, st.layout(), n - p);
   st.redistribute(target, net, stats);
   EXPECT_LE(stats.bytes_total, dim(n) * kAmpBytes);
   EXPECT_GT(stats.bytes_total, 0u);

@@ -90,10 +90,8 @@ TEST(Parallel, NestedForRangeRunsInlineAndCoversOnce) {
 TEST(Parallel, InlineScopeForcesSingleChunk) {
   set_num_threads(4);
   std::atomic<int> calls{0};
-  EXPECT_FALSE(inline_only());
   {
     inline_scope guard;
-    EXPECT_TRUE(inline_only());
     // Large range, tiny grain: without the scope this would be chunked
     // across the pool; under it, fn sees the whole range in one call.
     for_range(0, 1 << 16, [&](Index lo, Index hi) {
@@ -103,14 +101,14 @@ TEST(Parallel, InlineScopeForcesSingleChunk) {
     }, /*grain=*/1);
   }
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_FALSE(inline_only());
-  // Every thread running a region's chunks, caller included, is inline.
-  std::atomic<int> inline_chunks{0};
+  // Every thread running a region's chunks, caller included, runs its
+  // nested regions inline: one call each, however large the range.
+  std::atomic<int> nested_calls{0};
   for_range(0, 8, [&](Index, Index) {
-    if (inline_only()) inline_chunks.fetch_add(1);
+    for_range(0, 1 << 16, [&](Index, Index) { nested_calls.fetch_add(1); },
+              /*grain=*/1);
   }, /*grain=*/1);
-  EXPECT_EQ(inline_chunks.load(), 8);
-  EXPECT_FALSE(inline_only());
+  EXPECT_EQ(nested_calls.load(), 8);
   set_num_threads(0);
 }
 

@@ -136,6 +136,10 @@ TEST(Parser, ErrorsAreInformative) {
                Error);
   EXPECT_THROW(parse("qreg q[1]; gate g a { h a; g a; } g q[0];"), Error);
   EXPECT_THROW(parse("qreg q[1]; gate h a { h a; } h q[0];"), Error);
+  // A builtin takes exactly its kind's operands, each once.
+  EXPECT_THROW(parse("qreg q[2]; h q[0],q[1];"), Error);
+  EXPECT_THROW(parse("qreg q[2]; cx q[0];"), Error);
+  EXPECT_THROW(parse("qreg q[2]; cx q[0],q[0];"), Error);
   // Integers past `unsigned` are rejected before any narrowing: 2^32 must
   // not wrap to q[0], and a register of 2^32 + 2 qubits must not declare
   // 2. The Error names the literal.

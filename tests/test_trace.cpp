@@ -257,23 +257,24 @@ TEST(Trace, MetricsOnEveryTarget) {
                    "execute.wall_seconds", "observe.seconds"});
       EXPECT_NE(r.to_json().find("\"metrics\": {"), std::string::npos);
 
+      // Plans with a second level relayout in place; the others never do.
+      // The distributed-serial plan's auto level 2 is off: 16 >= 6 local
+      // qubits.
+      const bool level2 =
+          o.target == Target::Hierarchical || o.level2_limit > 0;
+      EXPECT_EQ(m.count("relayout.seconds"), level2 ? 1u : 0u);
+      EXPECT_EQ(m.count("relayout.bytes"), level2 ? 1u : 0u);
       if (!target_is_distributed(o.target)) {
         expect_keys({"apply.seconds"});
-        if (o.target == Target::Hierarchical)
-          expect_keys({"gather.seconds", "scatter.seconds",
-                       "sv.outer_bytes_moved", "sv.inner_bytes_touched",
-                       "sv.flops"});
-        else
-          EXPECT_EQ(m.count("gather.seconds"), 0u);
+        EXPECT_EQ(m.count("gather.seconds"), 0u);
         // One rank exchanges nothing and reports no per-step distributions.
         for (const auto& [key, value] : m) {
           EXPECT_NE(key.rfind("exchange.", 0), 0u) << key;
           EXPECT_NE(key.rfind("step.", 0), 0u) << key;
         }
         EXPECT_EQ(m.count("apply.seconds.sum"), 0u);
-        EXPECT_EQ(r.total_seconds(), get("gather.seconds") +
-                                         get("apply.seconds") +
-                                         get("scatter.seconds"));
+        EXPECT_EQ(r.total_seconds(),
+                  get("apply.seconds") + get("relayout.seconds"));
         continue;
       }
       // Sharded: the same keys on the distributed executor and the IQS

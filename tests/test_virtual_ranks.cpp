@@ -45,7 +45,7 @@ TEST(VirtualRanks, CoLocatedTrafficIsFree) {
   DistState st(8, 3, /*physical_ranks=*/1);
   NetworkModel net;
   CommStats stats;
-  const RankLayout target = RankLayout::for_part(8, 3, {5, 6, 7}, st.layout());
+  const RankLayout target = RankLayout::for_part({5, 6, 7}, st.layout(), 5);
   st.redistribute(target, net, stats);
   EXPECT_EQ(stats.bytes_total, 0u);
   EXPECT_EQ(stats.messages_total, 0u);
@@ -57,7 +57,7 @@ TEST(VirtualRanks, FewerHostsFewerBytes) {
     NetworkModel net;
     CommStats stats;
     const RankLayout target =
-        RankLayout::for_part(8, 3, {5, 6, 7}, st.layout());
+        RankLayout::for_part({5, 6, 7}, st.layout(), 5);
     st.redistribute(target, net, stats);
     return stats.bytes_total;
   };
